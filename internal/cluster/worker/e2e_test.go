@@ -241,8 +241,13 @@ func TestClusterEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Both nodes are registered and live; readiness recovered.
+	// Both nodes are registered and live; readiness recovered. A worker
+	// registers on its first poll, which can trail the other worker
+	// draining the whole workload, so wait for the registration itself.
 	ws := h.svc.Workers()
+	for deadline := time.Now().Add(10 * time.Second); len(ws) < 2 && time.Now().Before(deadline); ws = h.svc.Workers() {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if len(ws) != 2 || ws[0].ID != "w-1" || ws[1].ID != "w-2" {
 		t.Fatalf("Workers = %+v, want w-1 and w-2", ws)
 	}

@@ -74,41 +74,43 @@ func NewRegistry() *Registry {
 // with a previously registered family — both programmer errors caught at
 // startup.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.register(name, help, "counter", labels)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.register(name, help, "counter", labels, func(s *series) {
+		if s.c == nil {
+			s.c = &Counter{}
+		}
+	}).c
 }
 
 // Gauge registers (or returns the existing) settable gauge series.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.register(name, help, "gauge", labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.register(name, help, "gauge", labels, func(s *series) {
+		if s.g == nil {
+			s.g = &Gauge{}
+		}
+	}).g
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape time.
 // fn must be safe for concurrent use.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.register(name, help, "gauge", labels)
-	s.gf = fn
+	r.register(name, help, "gauge", labels, func(s *series) { s.gf = fn })
 }
 
 // Histogram registers (or returns the existing) histogram series with the
 // given bucket upper bounds (ascending; a +Inf bucket is implicit). A nil
 // buckets slice selects DefBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	s := r.register(name, help, "histogram", labels)
-	if s.h == nil {
-		s.h = NewHistogram(buckets)
-	}
-	return s.h
+	return r.register(name, help, "histogram", labels, func(s *series) {
+		if s.h == nil {
+			s.h = NewHistogram(buckets)
+		}
+	}).h
 }
 
-func (r *Registry) register(name, help, typ string, labels []Label) *series {
+// register finds or creates the series and runs init on it under the
+// registry lock, so concurrent first uses of one series share a single
+// instrument (and a scrape never sees a half-initialized series).
+func (r *Registry) register(name, help, typ string, labels []Label, init func(*series)) *series {
 	if err := checkName(name); err != nil {
 		panic(fmt.Sprintf("obs: %v", err))
 	}
@@ -132,10 +134,12 @@ func (r *Registry) register(name, help, typ string, labels []Label) *series {
 	}
 	for _, s := range f.series {
 		if s.sig == sig {
+			init(s)
 			return s
 		}
 	}
 	s := &series{labels: sorted, sig: sig}
+	init(s)
 	f.series = append(f.series, s)
 	return s
 }

@@ -153,6 +153,44 @@ func TestConcurrentScrape(t *testing.T) {
 	}
 }
 
+// TestConcurrentFirstTouch is the get-or-create race gate: 100 goroutines
+// register the same never-seen series and increment it once each. The
+// instrument must be created under the registry lock, or two first users
+// can each build one and one of them loses its increment. Repeated over
+// fresh registries because the window is narrow.
+func TestConcurrentFirstTouch(t *testing.T) {
+	const (
+		rounds     = 200
+		goroutines = 100
+	)
+	for round := 0; round < rounds; round++ {
+		r := NewRegistry()
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < goroutines; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				r.Counter("touch_total", "first-touch counter", L("k", "v")).Inc()
+				r.Gauge("touch_gauge", "first-touch gauge").Add(1)
+				r.Histogram("touch_seconds", "first-touch histogram", nil).Observe(1)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := r.Counter("touch_total", "first-touch counter", L("k", "v")).Value(); got != goroutines {
+			t.Fatalf("round %d: counter = %d, want %d", round, got, goroutines)
+		}
+		if got := r.Gauge("touch_gauge", "first-touch gauge").Value(); got != goroutines {
+			t.Fatalf("round %d: gauge = %g, want %d", round, got, goroutines)
+		}
+		if got := r.Histogram("touch_seconds", "first-touch histogram", nil).Count(); got != goroutines {
+			t.Fatalf("round %d: histogram count = %d, want %d", round, got, goroutines)
+		}
+	}
+}
+
 // TestValidateBuckets is the registration-time layout gate: non-monotonic,
 // empty and non-finite bucket slices must be rejected with a clear error
 // before any observation can be misbinned, while nil stays the DefBuckets

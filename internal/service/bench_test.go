@@ -123,14 +123,9 @@ func BenchmarkJobThroughputWALOn(b *testing.B) {
 	benchJobThroughput(b, Config{Workers: 2, StoreDir: b.TempDir()})
 }
 
-// BenchmarkJobSegmentsOff/On price the PR 9 latency-attribution hooks
-// (segment histograms + per-job fields + the saturation window's
-// per-dequeue HDR record and p99 walk) on the same saturated workload the
-// WAL pair uses: On must hold throughput within the repo's 5% gate of Off.
-func BenchmarkJobSegmentsOff(b *testing.B) {
-	benchJobThroughput(b, Config{Workers: 2, DisableSegmentMetrics: true, SaturationBudget: -1})
-}
-
+// BenchmarkJobSegmentsOn is the job-throughput bench with the latency
+// attribution (segment histograms, per-job fields, the saturation window's
+// per-dequeue HDR record and p99 walk) all on, as in production.
 func BenchmarkJobSegmentsOn(b *testing.B) {
 	benchJobThroughput(b, Config{Workers: 2}) // segments + saturation on by default
 }

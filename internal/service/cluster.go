@@ -11,9 +11,9 @@ import (
 	"rumornet/internal/cluster"
 	"rumornet/internal/degreedist"
 	"rumornet/internal/obs"
-	"rumornet/internal/obs/invariant"
 	"rumornet/internal/obs/journal"
 	"rumornet/internal/obs/trace"
+	"rumornet/internal/store"
 )
 
 // This file is the coordinator side of distributed rumord (DESIGN.md §12).
@@ -358,63 +358,33 @@ func (s *Service) LeaseNext(workerID, addr string) (*LeasedJob, error) {
 	}
 }
 
-// grantLease moves one dequeued job to running under a fresh lease, wiring
-// the same per-job pipeline runJob builds (logger, invariant monitor,
-// progress sink) so relayed remote events flow through identical plumbing.
-// Returns nil if the job is no longer queued.
+// grantLease moves one dequeued job to running (begin wires the same
+// per-job pipeline runJob gets, so relayed remote events flow through
+// identical plumbing) and grants it a fresh lease. Returns nil if the job
+// is no longer queued.
 func (s *Service) grantLease(r *jobRecord, workerID string) *LeasedJob {
-	lg := s.cfg.Logger.With("job_id", r.job.ID, "type", r.job.Type,
-		"trace_id", r.job.TraceID, "worker", workerID)
-	monitor := invariant.New(s.cfg.Invariants, func(v invariant.Violation) {
-		s.met.invariantViolation(v.Check)
-		s.journal.Append(journal.Entry{
-			JobID: r.job.ID, TraceID: r.job.TraceID,
-			Kind: journal.KindInvariant, Check: v.Check, Msg: v.Msg,
-			Stage: v.Event.Stage, Step: v.Event.Step, T: v.Event.T,
-			Value: v.Event.Value,
-		})
-		lg.Warn("invariant violation", "check", v.Check, "detail", v.Msg,
-			"stage", v.Event.Stage, "step", v.Event.Step, "t", v.Event.T)
-	})
-	sink := s.progressSink(r, monitor, lg)
-
-	s.mu.Lock()
-	if r.job.Status != StatusQueued { // cancelled while queued
-		s.mu.Unlock()
+	start, ok := s.begin(r, workerID, nil)
+	if !ok { // cancelled while queued
 		return nil
 	}
+	s.mu.Lock()
 	r.attempts++
-	attempt := r.attempts
+	attempt, lg := r.attempts, r.lg // read under s.mu: once leased, the job may be reaped and re-begun
 	lease := s.table.Grant(r.job.ID, workerID, attempt)
-	start := time.Now()
-	r.job.Status = StatusRunning
-	r.job.StartedAt = &start
-	r.job.Worker = workerID
-	r.monitor = monitor
-	r.sink = sink
-	s.walStarted(r.job.ID)
-	s.walAttempt(r.job.ID, attempt)
+	// The attempt count survives a coordinator restart, so the poison-job
+	// budget does too.
+	s.wal("attempt", r.job.ID, func(st *store.Store) error { return st.AppendAttempt(r.job.ID, attempt) })
 	s.mu.Unlock()
 
-	queueWait := start.Sub(r.job.SubmittedAt)
-	s.met.queueWaitObserve(r.req.Class, queueWait)
-	if s.sat != nil {
-		s.sat.observe(queueWait, start)
-	}
-	s.met.running.Inc()
 	s.journal.Append(journal.Entry{
 		JobID: r.job.ID, TraceID: r.job.TraceID,
 		Kind: journal.KindLease,
 		Msg: fmt.Sprintf("lease granted to worker %q (attempt %d/%d)",
 			workerID, attempt, s.cfg.Cluster.MaxAttempts),
 	})
-	s.journal.Append(journal.Entry{
-		JobID: r.job.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLifecycle, Msg: "started",
-	})
 	lg.Info("job leased", "attempt", attempt,
 		"lease_ttl", s.table.TTL().String(),
-		"queue_wait_ms", float64(start.Sub(r.job.SubmittedAt))/float64(time.Millisecond))
+		"queue_wait_ms", durMS(start.Sub(r.job.SubmittedAt)))
 	return &LeasedJob{
 		JobID:       r.job.ID,
 		TraceID:     r.job.TraceID,
@@ -435,44 +405,22 @@ func (s *Service) grantLease(r *jobRecord, workerID string) *LeasedJob {
 // working for a remotely-executing job — and merges the piggybacked
 // telemetry (journal entries, spans, metrics, health sample).
 func (s *Service) ExtendLease(id string, req HeartbeatRequest) (HeartbeatAck, error) {
-	if s.table == nil {
-		return HeartbeatAck{}, fmt.Errorf("%w: not a coordinator", ErrNotFound)
-	}
-	s.mu.Lock()
-	r, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return HeartbeatAck{}, fmt.Errorf("%w: job %q", ErrNotFound, id)
-	}
-	lease, err := s.table.Extend(id, req.LeaseToken)
+	r, sink, lease, err := s.fenced(id, req.LeaseToken, false)
 	if err != nil {
-		s.mu.Unlock()
-		return HeartbeatAck{}, fmt.Errorf("%w: %v", ErrStaleLease, err)
+		return HeartbeatAck{}, err
 	}
-	sink := r.sink
-	cancelled := r.userCancelled
-	jobID, traceID := r.job.ID, r.job.TraceID
-	s.mu.Unlock()
-
-	for _, ev := range req.Events {
-		sink(ev.toObs())
-	}
-	s.mergeWorkerRelay(jobID, traceID, req.Journal, req.Spans)
+	s.mergeWorkerRelay(r, sink, req.Events, req.Journal, req.Spans)
 	s.storeWorkerTelemetry(lease.Worker, req.Metrics, req.Telemetry)
 	return HeartbeatAck{
 		LeaseTTLMS: s.table.TTL().Milliseconds(),
-		Cancel:     lease.Cancel || cancelled,
+		Cancel:     lease.Cancel || r.userCancelled.Load(),
 	}, nil
 }
 
 // CompleteLease finalizes a remotely-executed job from its result upload.
 // The fenced release comes first — a stale token cannot finish a job — and
-// a succeeded job's blob and terminal WAL record land on disk before the
-// terminal status publishes, exactly runJob's ordering.
+// finish then applies runJob's durability-before-visibility ordering.
 func (s *Service) CompleteLease(id string, res ResultRequest) (Job, error) {
-	if s.table == nil {
-		return Job{}, fmt.Errorf("%w: not a coordinator", ErrNotFound)
-	}
 	// Upload arrival closes the execute segment: the coordinator cannot see
 	// inside the worker's wall clock, so lease-grant -> arrival (network
 	// hop included) is what "execute" means in cluster mode (latency.go).
@@ -484,103 +432,43 @@ func (s *Service) CompleteLease(id string, res ResultRequest) (Job, error) {
 	if st == StatusSucceeded && !json.Valid(res.Result) {
 		return Job{}, fmt.Errorf("%w: succeeded upload must carry a JSON result", ErrBadRequest)
 	}
-
-	s.mu.Lock()
-	r, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return Job{}, fmt.Errorf("%w: job %q", ErrNotFound, id)
-	}
-	lease, err := s.table.Release(id, res.LeaseToken)
+	r, sink, lease, err := s.fenced(id, res.LeaseToken, true)
 	if err != nil {
-		s.mu.Unlock()
-		return Job{}, fmt.Errorf("%w: %v", ErrStaleLease, err)
+		return Job{}, err
 	}
-	sink := r.sink
-	monitor := r.monitor
-	started := r.job.StartedAt
-	s.mu.Unlock()
-
 	// The lease is released: the reaper can no longer requeue this job and
 	// no other worker can claim it, so finalization below is single-writer.
-	for _, ev := range res.Events {
-		sink(ev.toObs())
-	}
-	// Merge the final telemetry relay before the Final journal entry lands,
-	// so an SSE replay reads worker-side entries in causal order.
-	s.mergeWorkerRelay(id, r.job.TraceID, res.Journal, res.Spans)
+	// The final relay lands before the Final journal entry, so an SSE replay
+	// reads worker-side entries in causal order.
+	s.mergeWorkerRelay(r, sink, res.Events, res.Journal, res.Spans)
 	s.storeWorkerTelemetry(lease.Worker, res.Metrics, res.Telemetry)
-	if st == StatusSucceeded {
-		// Theorem 5 consistency of the finished trajectory, as in runJob.
-		if r.req.Type == JobODE && monitor != nil {
-			var odeRes ODEResult
-			if json.Unmarshal(res.Result, &odeRes) == nil {
-				monitor.CheckOutcome(odeRes.R0, odeRes.FinalI)
-			}
-		}
-		// Durability before visibility: blob + terminal record land while
-		// the job still reads as running.
-		s.storePutResult(r.key, res.Result)
-		s.walFinished(id, StatusSucceeded)
-	}
+	return s.finish(r, outcome{status: st, err: res.Error, raw: res.Result,
+		execDone: arrive, worker: lease.Worker, logMsg: "remote job finished"}), nil
+}
 
+// fenced looks up a leased job and checks the worker's lease token against
+// the table under s.mu — extending the lease, or releasing it for a result
+// upload. A token that is no longer current cannot touch the job. It also
+// returns the progress sink of the execution the token belongs to.
+func (s *Service) fenced(id, token string, release bool) (*jobRecord, obs.Progress, cluster.Lease, error) {
+	if s.table == nil {
+		return nil, nil, cluster.Lease{}, fmt.Errorf("%w: not a coordinator", ErrNotFound)
+	}
 	s.mu.Lock()
-	fin := time.Now()
-	from := r.job.SubmittedAt
-	if started != nil {
-		from = *started
+	defer s.mu.Unlock()
+	r, ok := s.jobs[id]
+	if !ok {
+		return nil, nil, cluster.Lease{}, fmt.Errorf("%w: job %q", ErrNotFound, id)
 	}
-	elapsed := fin.Sub(from)
-	r.job.FinishedAt = &fin
-	r.job.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	if s.met.segments != nil && started != nil {
-		r.job.Latency = &JobLatency{
-			QueueWaitMS: float64(started.Sub(r.job.SubmittedAt)) / float64(time.Millisecond),
-			ExecuteMS:   float64(arrive.Sub(*started)) / float64(time.Millisecond),
-			SerializeMS: float64(fin.Sub(arrive)) / float64(time.Millisecond),
-		}
+	check := s.table.Extend
+	if release {
+		check = s.table.Release
 	}
-	r.job.Status = st
-	switch st {
-	case StatusSucceeded:
-		r.job.Result = res.Result
-		if evicted := s.cache.put(r.key, res.Result); len(evicted) > 0 {
-			s.met.cacheEvictions.Add(int64(len(evicted)))
-			s.trimEvictedLocked(evicted)
-		}
-		s.keyJobs[r.key] = append(s.keyJobs[r.key], r.job.ID)
-	default:
-		r.job.Error = res.Error
-		s.walFinished(id, st)
+	lease, err := check(id, token)
+	if err != nil {
+		return nil, nil, cluster.Lease{}, fmt.Errorf("%w: %v", ErrStaleLease, err)
 	}
-	job := r.snapshot()
-	s.mu.Unlock()
-
-	s.met.running.Dec()
-	s.met.outcome(st)
-	s.met.observe(r.job.Type, elapsed)
-	if started != nil {
-		s.met.segmentObserve(started.Sub(job.SubmittedAt), arrive.Sub(*started), fin.Sub(arrive))
-	}
-	s.met.workerLatency(lease.Worker, elapsed)
-	msg := "finished: " + string(st)
-	if res.Error != "" {
-		msg += ": " + res.Error
-	}
-	s.journal.Append(journal.Entry{
-		JobID: id, TraceID: job.TraceID,
-		Kind: journal.KindLifecycle, Msg: msg, Final: true,
-	})
-	r.endSpans(st)
-	lg := s.cfg.Logger.With("job_id", id, "worker", lease.Worker)
-	if st == StatusSucceeded {
-		lg.Info("remote job finished", "status", st,
-			"elapsed_ms", job.ElapsedMS, "attempt", lease.Attempt)
-	} else {
-		lg.Warn("remote job finished", "status", st,
-			"elapsed_ms", job.ElapsedMS, "attempt", lease.Attempt, "error", res.Error)
-	}
-	return job, nil
+	return r, r.sink, lease, nil
 }
 
 // reaper periodically requeues (or terminally fails) jobs whose lease
@@ -608,38 +496,42 @@ func (s *Service) reaper(interval time.Duration) {
 func (s *Service) reapExpired() {
 	for _, lease := range s.table.Expired() {
 		s.met.leaseExpirations.Inc()
-		s.met.running.Dec()
 
 		s.mu.Lock()
 		r, ok := s.jobs[lease.JobID]
 		if !ok || r.job.Status != StatusRunning {
 			s.mu.Unlock()
+			s.met.running.Dec()
 			continue
 		}
+		o := outcome{status: StatusFailed, worker: lease.Worker, logMsg: "reaped job finished"}
 		switch {
-		case r.userCancelled:
-			s.finishReapedLocked(r, StatusCancelled, fmt.Sprintf(
-				"cancelled by client; lease expired on worker %q", lease.Worker))
+		case r.userCancelled.Load():
+			o.status = StatusCancelled
+			o.err = fmt.Sprintf("cancelled by client; lease expired on worker %q", lease.Worker)
 		case r.attempts >= s.cfg.Cluster.MaxAttempts:
-			s.finishReapedLocked(r, StatusFailed, fmt.Sprintf(
-				"lease expired on worker %q and the attempt budget is exhausted (%d/%d)",
-				lease.Worker, r.attempts, s.cfg.Cluster.MaxAttempts))
+			o.err = fmt.Sprintf("lease expired on worker %q and the attempt budget is exhausted (%d/%d)",
+				lease.Worker, r.attempts, s.cfg.Cluster.MaxAttempts)
 		case s.draining:
 			// The queue channel is closed; pushing would panic. Leave the
 			// job running-without-a-lease: it has no terminal WAL record,
 			// so the next process life re-enqueues it — crash semantics,
 			// which is what a drain racing a worker death is.
 			s.mu.Unlock()
+			s.met.running.Dec()
 			s.cfg.Logger.Warn("lease expired while draining; job deferred to restart",
 				"job_id", lease.JobID, "worker", lease.Worker)
+			continue
 		default:
-			r.job.Status = StatusQueued
-			r.job.StartedAt = nil
-			r.job.Worker = ""
-			attempts := r.attempts // read before unlock: the next grant increments it
 			select {
 			case s.queues[classIndex(r.req.Class)] <- r:
+				// No dequeuer can look at r before s.mu is released.
+				r.job.Status = StatusQueued
+				r.job.StartedAt = nil
+				r.job.Worker = ""
+				attempts := r.attempts // read before unlock: the next grant increments it
 				s.mu.Unlock()
+				s.met.running.Dec()
 				s.met.requeues.Inc()
 				s.journal.Append(journal.Entry{
 					JobID: lease.JobID, TraceID: r.job.TraceID,
@@ -650,38 +542,18 @@ func (s *Service) reapExpired() {
 				s.cfg.Logger.Warn("lease expired; job requeued",
 					"job_id", lease.JobID, "worker", lease.Worker,
 					"attempt", attempts, "max_attempts", s.cfg.Cluster.MaxAttempts)
+				continue
 			default:
-				s.finishReapedLocked(r, StatusFailed, fmt.Sprintf(
-					"lease expired on worker %q and the queue is full", lease.Worker))
+				o.err = fmt.Sprintf("lease expired on worker %q and the queue is full", lease.Worker)
 			}
 		}
+		s.mu.Unlock()
+		s.journal.Append(journal.Entry{
+			JobID: r.job.ID, TraceID: r.job.TraceID,
+			Kind: journal.KindLease, Msg: "lease expired: " + o.err,
+		})
+		s.finish(r, o)
 	}
-}
-
-// finishReapedLocked terminally settles a job the reaper could not requeue.
-// Callers hold s.mu; it unlocks.
-func (s *Service) finishReapedLocked(r *jobRecord, st Status, reason string) {
-	fin := time.Now()
-	s.walFinished(r.job.ID, st)
-	r.job.Status = st
-	r.job.Error = reason
-	r.job.FinishedAt = &fin
-	r.job.Worker = ""
-	s.mu.Unlock()
-
-	s.met.outcome(st)
-	s.journal.Append(journal.Entry{
-		JobID: r.job.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLease, Msg: "lease expired: " + reason,
-	})
-	s.journal.Append(journal.Entry{
-		JobID: r.job.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLifecycle, Msg: "finished: " + string(st) + ": " + reason,
-		Final: true,
-	})
-	r.endSpans(st)
-	s.cfg.Logger.Warn("reaped job finished", "job_id", r.job.ID,
-		"status", st, "error", reason)
 }
 
 // clusterRoutes mounts the internal worker API (coordinator mode only).

@@ -103,11 +103,6 @@ type Config struct {
 	// evaluates over (default 30s). Implemented as two rotating epochs, so
 	// the visible history spans between half and the full window.
 	SaturationWindow time.Duration
-	// DisableSegmentMetrics turns off the per-segment latency histograms
-	// (rumor_job_latency_segment_seconds) and per-job attribution fields.
-	// Exists so the segments-off/on benchmark pair can price the hooks;
-	// production keeps them on.
-	DisableSegmentMetrics bool
 }
 
 func (c Config) withDefaults() Config {

@@ -44,19 +44,6 @@ type JobLatency struct {
 	SerializeMS float64 `json:"serialize_ms"`
 }
 
-// segmentObserve records one job's segment decomposition into the
-// per-segment histograms. A nil receiver field set (segments disabled via
-// Config.DisableSegmentMetrics) makes it a no-op so the bench pair can
-// price the hooks.
-func (m *metrics) segmentObserve(queueWait, execute, serialize time.Duration) {
-	if m.segments == nil {
-		return
-	}
-	m.segments[segQueueWait].Observe(queueWait.Seconds())
-	m.segments[segExecute].Observe(execute.Seconds())
-	m.segments[segSerialize].Observe(serialize.Seconds())
-}
-
 // satWindow is the saturation detector: queue-wait samples feed a sliding
 // window (two rotating HDR epochs, so the visible window spans between one
 // and two rotation periods), and whenever the windowed p99 exceeds the

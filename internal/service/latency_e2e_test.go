@@ -69,18 +69,18 @@ func TestE2ELatencyAttribution(t *testing.T) {
 	}
 }
 
-// TestE2ELatencyAttributionDisabled covers the bench knob: no segment
-// series in /metrics, no per-job fields.
-func TestE2ELatencyAttributionDisabled(t *testing.T) {
-	e := newE2E(t, Config{Workers: 2, DisableSegmentMetrics: true, SaturationBudget: -1})
+// TestE2ESaturationDisabled covers SaturationBudget < 0: the detector and
+// its gauges are gone, while latency attribution stays unconditional.
+func TestE2ESaturationDisabled(t *testing.T) {
+	e := newE2E(t, Config{Workers: 2, SaturationBudget: -1})
 	job := e.submitAndWait(`{"type":"ode","scenario":"tiny","params":{"lambda0":0.02,"tf":40,"points":50}}`)
 	mustSucceed(t, job)
-	if job.Latency != nil {
-		t.Errorf("latency attribution present with segments disabled: %+v", job.Latency)
+	if job.Latency == nil {
+		t.Error("latency attribution missing with the saturation detector disabled")
 	}
 	text := e.metricsText()
-	if strings.Contains(text, "rumor_job_latency_segment_seconds") {
-		t.Error("segment histograms exported with segments disabled")
+	if !strings.Contains(text, `rumor_job_latency_segment_seconds_count{segment="execute"} 1`) {
+		t.Error("segment histograms not exported with the saturation detector disabled")
 	}
 	if strings.Contains(text, "rumor_saturated") {
 		t.Error("saturation gauge exported with the detector disabled")

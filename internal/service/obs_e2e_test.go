@@ -357,3 +357,27 @@ func TestE2ENoGoroutineLeak(t *testing.T) {
 		t.Fatalf("goroutines leaked: %d before, %d after shutdown", before, runtime.NumGoroutine())
 	}
 }
+
+// TestE2EHTTPMethodLabelBounded pins the cardinality rule on
+// rumor_http_requests_total: a client sending arbitrary method tokens
+// lands in method="other" and cannot mint series — the family is exactly
+// the pre-registered method × code table, whatever the traffic.
+func TestE2EHTTPMethodLabelBounded(t *testing.T) {
+	e := newE2E(t, Config{Workers: 1})
+	const junk = 50
+	for i := 0; i < junk; i++ {
+		e.do(fmt.Sprintf("X%d", i), "/v1/stats", "", http.StatusMethodNotAllowed, nil)
+	}
+	series := 0
+	for _, line := range strings.Split(e.metricsText(), "\n") {
+		if strings.HasPrefix(line, "rumor_http_requests_total{") {
+			series++
+		}
+	}
+	if want := len(httpMethodLabels) * len(httpCodeLabels); series != want {
+		t.Errorf("rumor_http_requests_total has %d series, want the %d pre-registered", series, want)
+	}
+	if !strings.Contains(e.metricsText(), fmt.Sprintf(`rumor_http_requests_total{code="405",method="other"} %d`, junk)) {
+		t.Errorf("junk methods not counted under method=\"other\"")
+	}
+}

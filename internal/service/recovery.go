@@ -12,9 +12,9 @@ import (
 )
 
 // This file is the service side of the durable job store: the WAL append
-// helpers called on the submission and execution paths, and the startup
+// helper called on the submission and execution paths, and the startup
 // recovery that turns a write-ahead log plus result store back into live
-// service state. The contract with runJob/Cancel:
+// service state. The contract, enforced by finish (lifecycle.go):
 //
 //   - every job that enters the queue gets an opSubmitted record (with the
 //     full request, so recovery can re-enqueue it verbatim);
@@ -26,75 +26,17 @@ import (
 // WAL errors never fail the job: the daemon keeps serving from memory and
 // the failure is counted (rumor_store_wal_errors_total) and logged.
 
-// walSubmitted logs a job's enqueue. Callers hold s.mu.
-func (s *Service) walSubmitted(r *jobRecord) {
+// wal runs one durable-store operation when the service has a store (a
+// no-op otherwise); a failure is counted and logged, never returned.
+func (s *Service) wal(op, id string, fn func(*store.Store) error) {
 	if s.store == nil {
 		return
 	}
-	blob, err := json.Marshal(r.req)
-	if err == nil {
-		err = s.store.AppendSubmitted(store.JobState{
-			ID: r.job.ID, Seq: r.seq, Request: blob, Key: r.key,
-			TraceID: r.job.TraceID, SubmittedAt: r.job.SubmittedAt,
-			Class: string(r.req.Class),
-		})
+	if err := fn(s.store); err != nil {
+		s.met.walErrors.Inc()
+		s.cfg.Logger.Warn("durable store operation failed",
+			"op", op, "id", id, "error", err.Error())
 	}
-	s.walErrored("submitted", r.job.ID, err)
-}
-
-// walStarted logs a job's transition to running. Callers hold s.mu.
-func (s *Service) walStarted(id string) {
-	if s.store == nil {
-		return
-	}
-	s.walErrored("started", id, s.store.AppendStarted(id))
-}
-
-// walFinished logs a terminal outcome. Callers hold s.mu, so the record is
-// on disk before any poller can observe the terminal status.
-func (s *Service) walFinished(id string, status Status) {
-	if s.store == nil {
-		return
-	}
-	s.walErrored("finished", id, s.store.AppendFinished(id, string(status)))
-}
-
-// walAttempt logs a job's cumulative lease-grant count so the poison-job
-// attempt budget survives a coordinator restart. Callers hold s.mu.
-func (s *Service) walAttempt(id string, attempt int) {
-	if s.store == nil {
-		return
-	}
-	s.walErrored("attempt", id, s.store.AppendAttempt(id, attempt))
-}
-
-// walScenario logs an uploaded scenario table so a restart re-registers it
-// before recovered jobs try to resolve it.
-func (s *Service) walScenario(name, source string, degrees []int, probs []float64) {
-	if s.store == nil {
-		return
-	}
-	s.walErrored("scenario", name, s.store.AppendScenario(store.ScenarioState{
-		Name: name, Source: source, Degrees: degrees, Probs: probs,
-	}))
-}
-
-// storePutResult persists a succeeded job's result blob. Callers hold s.mu.
-func (s *Service) storePutResult(key string, raw json.RawMessage) {
-	if s.store == nil {
-		return
-	}
-	s.walErrored("put result", key, s.store.PutResult(key, raw))
-}
-
-// walErrored counts and logs a failed store operation (no-op on nil).
-func (s *Service) walErrored(op, id string, err error) {
-	if err == nil {
-		return
-	}
-	s.met.walErrors.Inc()
-	s.cfg.Logger.Warn("durable store operation failed",
-		"op", op, "id", id, "error", err.Error())
 }
 
 // recoverFromStore rebuilds service state from an opened store: completed
@@ -195,88 +137,43 @@ func (s *Service) requeueRecovered(js store.JobState) Status {
 	}
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, dup := s.jobs[js.ID]; dup {
+		s.mu.Unlock()
 		return StatusFailed // defensive: the log should never duplicate ids
 	}
 	submitted := js.SubmittedAt
 	if submitted.IsZero() {
 		submitted = time.Now()
 	}
-	span := s.tracer.StartSpan("job."+string(req.Type), trace.SpanContext{})
-	span.SetAttr("job_id", js.ID)
-	span.SetAttr("recovered", "true")
-	r := &jobRecord{
-		job: Job{
-			ID:          js.ID,
-			Type:        req.Type,
-			Scenario:    req.Scenario,
-			Status:      StatusQueued,
-			Class:       req.Class,
-			TraceID:     span.Context().TraceID.String(),
-			SubmittedAt: submitted,
-		},
-		req:      req,
-		sc:       sc,
-		key:      key,
-		seq:      js.Seq,
-		timeout:  timeout,
-		span:     span,
-		attempts: js.Attempts,
-	}
+	r := s.newRecord(js.ID, js.Seq, req, sc, key, timeout, submitted, trace.SpanContext{})
+	r.span.SetAttr("recovered", "true")
+	r.attempts = js.Attempts
+	s.insertLocked(r)
 
+	o := outcome{status: StatusFailed, err: reason, logMsg: "recovered job failed"}
 	if reason == "" {
 		// The job may have completed just before the crash: result blob
 		// written, terminal record lost. The warmed cache answers it.
 		if raw, hit := s.cache.get(key); hit {
-			s.met.outcome(StatusSucceeded)
-			fin := time.Now()
-			r.job.Status = StatusSucceeded
-			r.job.CacheHit = true
-			r.job.Result = raw
-			r.job.FinishedAt = &fin
-			s.walFinished(js.ID, StatusSucceeded)
-			s.insertLocked(r)
-			s.keyJobs[key] = append(s.keyJobs[key], js.ID)
-			s.journal.Append(journal.Entry{
-				JobID: js.ID, TraceID: r.job.TraceID,
-				Kind: journal.KindLifecycle, Msg: "finished: succeeded (recovered result)",
-				Final: true,
-			})
-			span.SetAttr("status", string(StatusSucceeded))
-			span.End()
-			return StatusSucceeded
-		}
-		select {
-		case s.queues[classIndex(req.Class)] <- r:
-			s.insertLocked(r)
-			s.journal.Append(journal.Entry{
-				JobID: js.ID, TraceID: r.job.TraceID,
-				Kind: journal.KindLifecycle, Msg: "recovered: re-queued after restart",
-			})
-			s.cfg.Logger.Info("job recovered",
-				"job_id", js.ID, "type", req.Type, "scenario", req.Scenario,
-				"was_started", js.Started)
-			return StatusQueued
-		default:
-			reason = "recovery: queue full"
+			o = outcome{status: StatusSucceeded, raw: raw, cacheHit: hitRecovered,
+				logMsg: "job served from cache"}
+		} else {
+			select {
+			case s.queues[classIndex(req.Class)] <- r:
+				s.mu.Unlock()
+				s.journal.Append(journal.Entry{
+					JobID: js.ID, TraceID: r.job.TraceID,
+					Kind: journal.KindLifecycle, Msg: "recovered: re-queued after restart",
+				})
+				s.cfg.Logger.Info("job recovered",
+					"job_id", js.ID, "type", req.Type, "scenario", req.Scenario,
+					"was_started", js.Started)
+				return StatusQueued
+			default:
+				o.err = "recovery: queue full"
+			}
 		}
 	}
-
-	s.met.outcome(StatusFailed)
-	fin := time.Now()
-	r.job.Status = StatusFailed
-	r.job.Error = reason
-	r.job.FinishedAt = &fin
-	s.walFinished(js.ID, StatusFailed)
-	s.insertLocked(r)
-	s.journal.Append(journal.Entry{
-		JobID: js.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLifecycle, Msg: "finished: failed: " + reason,
-		Final: true,
-	})
-	span.SetAttr("status", string(StatusFailed))
-	span.End()
-	s.cfg.Logger.Warn("recovered job failed", "job_id", js.ID, "error", reason)
-	return StatusFailed
+	s.mu.Unlock()
+	return s.finish(r, o).Status
 }

@@ -65,7 +65,9 @@ type jobRecord struct {
 	timeout time.Duration
 
 	cancel        context.CancelFunc // non-nil while running locally; nil for leased jobs
-	userCancelled bool
+	userCancelled atomic.Bool        // set once by Cancel; read by begin, runJob and the lease paths
+	// done closes when finish makes the job terminal.
+	done chan struct{}
 
 	// attempts counts cluster lease grants (0 for standalone execution);
 	// the reaper terminally fails the job once it reaches
@@ -85,8 +87,10 @@ type jobRecord struct {
 	// progress stream; violations land in the journal, the metrics and
 	// the log exactly once per check.
 	monitor *invariant.Monitor
-	// sink is the progress sink runJob wired for this execution, kept so
-	// tests can inject synthetic events through the full pipeline.
+	// lg is the job-scoped logger begin built for this execution.
+	lg *slog.Logger
+	// sink is the progress sink begin wired for this execution: local
+	// solver events and relayed remote events both flow through it.
 	sink obs.Progress
 
 	// spanMu guards the per-stage child spans; progress events arrive
@@ -166,7 +170,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:       cfg,
 		scenarios: newRegistry(),
 		cache:     newResultCache(cfg.CacheEntries),
-		met:       newMetrics(cfg.DisableSegmentMetrics),
+		met:       newMetrics(),
 		tracer:    trace.New(cfg.TraceSpans),
 		journal:   journal.New(cfg.JournalEntries, cfg.JournalSink),
 		jobs:      make(map[string]*jobRecord),
@@ -254,6 +258,32 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
+// newRecord builds a queued job's record and opens its span — a child of
+// parent when the submission carried a trace context.
+func (s *Service) newRecord(id string, seq uint64, req Request, sc *Scenario, key string,
+	timeout time.Duration, submitted time.Time, parent trace.SpanContext) *jobRecord {
+	span := s.tracer.StartSpan("job."+string(req.Type), parent,
+		obs.L("scenario", req.Scenario), obs.L("job_id", id))
+	return &jobRecord{
+		job: Job{
+			ID:          id,
+			Type:        req.Type,
+			Scenario:    req.Scenario,
+			Status:      StatusQueued,
+			Class:       req.Class,
+			TraceID:     span.Context().TraceID.String(),
+			SubmittedAt: submitted,
+		},
+		req:     req,
+		sc:      sc,
+		key:     key,
+		seq:     seq,
+		timeout: timeout,
+		span:    span,
+		done:    make(chan struct{}),
+	}
+}
+
 // snapshot copies the API view of a record, attaching the latest progress
 // checkpoint. Callers hold s.mu for the job copy; the progress pointer is
 // read atomically and its target is immutable.
@@ -278,7 +308,9 @@ func (s *Service) RegisterScenario(name string, degrees []int, probs []float64) 
 	if err != nil {
 		return nil, err
 	}
-	s.walScenario(name, "uploaded", degrees, probs)
+	s.wal("scenario", name, func(st *store.Store) error {
+		return st.AppendScenario(store.ScenarioState{Name: name, Source: "uploaded", Degrees: degrees, Probs: probs})
+	})
 	return sc, nil
 }
 
@@ -306,77 +338,89 @@ func (s *Service) Submit(req Request) (Job, error) {
 // of the client's traceparent when one was sent), the job's span — and so
 // every journal entry and log line the job emits — joins that trace.
 func (s *Service) SubmitCtx(ctx context.Context, req Request) (Job, error) {
+	_, job, err := s.submit(ctx, req)
+	return job, err
+}
+
+// submit is SubmitCtx returning the job's record too, so in-process callers
+// (surface builds) can wait on its done channel.
+func (s *Service) submit(ctx context.Context, req Request) (*jobRecord, Job, error) {
 	req, sc, key, timeout, err := s.resolveRequest(req)
 	if err != nil {
-		return Job{}, err
+		return nil, Job{}, err
 	}
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.draining {
-		s.met.reject()
+		s.mu.Unlock()
+		s.met.rejected.Inc()
 		s.cfg.Logger.Warn("job rejected", "reason", "draining", "type", req.Type)
-		return Job{}, ErrDraining
+		return nil, Job{}, ErrDraining
 	}
 	s.seq++
-	now := time.Now()
-	span := s.tracer.StartSpan("job."+string(req.Type),
-		trace.SpanContextFromContext(ctx),
-		obs.L("scenario", req.Scenario))
-	r := &jobRecord{
-		job: Job{
-			ID:          fmt.Sprintf("j-%06d", s.seq),
-			Type:        req.Type,
-			Scenario:    req.Scenario,
-			Status:      StatusQueued,
-			Class:       req.Class,
-			TraceID:     span.Context().TraceID.String(),
-			SubmittedAt: now,
-		},
-		req:     req,
-		sc:      sc,
-		key:     key,
-		seq:     s.seq,
-		timeout: timeout,
-		span:    span,
-	}
-	span.SetAttr("job_id", r.job.ID)
+	r := s.newRecord(fmt.Sprintf("j-%06d", s.seq), s.seq, req, sc, key, timeout,
+		time.Now(), trace.SpanContextFromContext(ctx))
 
-	if raw, hit := s.cache.get(key); hit {
-		return s.finishCacheHitLocked(r, raw, "memory"), nil
-	}
+	raw, hit := s.cache.get(key)
+	source := hitMemory
 	// Memory miss: a result persisted by an earlier process life (or
 	// evicted by the LRU bound since) may still be on disk. The read goes
 	// through the Reader seam and also repopulates the memory cache, so one
 	// submission pays the I/O.
-	if s.reader != nil {
+	if !hit && s.reader != nil {
 		if blob, ok := s.reader.GetResult(key); ok {
-			raw := json.RawMessage(blob)
+			raw, hit, source = json.RawMessage(blob), true, hitDisk
 			if evicted := s.cache.put(key, raw); len(evicted) > 0 {
 				s.met.cacheEvictions.Add(int64(len(evicted)))
 				s.trimEvictedLocked(evicted)
 			}
-			return s.finishCacheHitLocked(r, raw, "disk"), nil
 		}
 	}
+	if hit {
+		// A hit completes synchronously: no queue slot, no execution.
+		s.insertLocked(r)
+		s.mu.Unlock()
+		s.met.submitted.Inc()
+		s.met.cacheHits.Inc()
+		if source == hitDisk {
+			s.met.diskHits.Inc()
+		}
+		s.journal.Append(journal.Entry{
+			JobID: r.job.ID, TraceID: r.job.TraceID,
+			Kind: journal.KindLifecycle, Msg: "submitted",
+		})
+		return r, s.finish(r, outcome{status: StatusSucceeded, raw: raw, cacheHit: source,
+			logMsg: "job served from cache"}), nil
+	}
+	defer s.mu.Unlock()
 
 	// Saturation sheds batch work first: an overloaded queue recovers by
 	// refusing sweeps, not interactive submissions. Checked after the cache
 	// — a hit costs no queue slot, so shedding it would only waste work.
 	if req.Class == ClassBatch && s.sat != nil && s.sat.Saturated() {
-		span.End()
-		s.met.reject()
+		r.span.End()
+		s.met.rejected.Inc()
 		s.met.shed.Inc()
 		s.cfg.Logger.Warn("job rejected", "reason", "saturated", "class", req.Class, "type", req.Type)
-		return Job{}, ErrSaturated
+		return nil, Job{}, ErrSaturated
 	}
 
 	select {
 	case s.queues[classIndex(req.Class)] <- r:
-		s.met.submit()
-		s.met.cacheMiss()
+		s.met.submitted.Inc()
+		s.met.cacheMisses.Inc()
 		s.insertLocked(r)
-		s.walSubmitted(r)
+		s.wal("submitted", r.job.ID, func(st *store.Store) error {
+			blob, err := json.Marshal(r.req)
+			if err != nil {
+				return err
+			}
+			return st.AppendSubmitted(store.JobState{
+				ID: r.job.ID, Seq: r.seq, Request: blob, Key: r.key,
+				TraceID: r.job.TraceID, SubmittedAt: r.job.SubmittedAt,
+				Class: string(r.req.Class),
+			})
+		})
 		s.journal.Append(journal.Entry{
 			JobID: r.job.ID, TraceID: r.job.TraceID,
 			Kind: journal.KindLifecycle, Msg: "queued",
@@ -384,12 +428,12 @@ func (s *Service) SubmitCtx(ctx context.Context, req Request) (Job, error) {
 		s.cfg.Logger.Info("job queued",
 			"job_id", r.job.ID, "type", r.job.Type, "scenario", r.job.Scenario,
 			"class", r.req.Class, "timeout", timeout.String(), "trace_id", r.job.TraceID)
-		return r.job, nil
+		return r, r.job, nil
 	default:
-		span.End()
-		s.met.reject()
+		r.span.End()
+		s.met.rejected.Inc()
 		s.cfg.Logger.Warn("job rejected", "reason", "queue full", "type", req.Type)
-		return Job{}, ErrQueueFull
+		return nil, Job{}, ErrQueueFull
 	}
 }
 
@@ -428,42 +472,6 @@ func (s *Service) resolveRequest(req Request) (Request, *Scenario, string, time.
 	}
 	key := cacheKey(req.Type, sc.Fingerprint, req.Params)
 	return req, sc, key, timeout, nil
-}
-
-// finishCacheHitLocked completes a submission synchronously from a cached
-// result (source: "memory" or "disk") — no queue slot, no execution.
-// Callers hold s.mu and have r.job initialized to StatusQueued.
-func (s *Service) finishCacheHitLocked(r *jobRecord, raw json.RawMessage, source string) Job {
-	s.met.submit()
-	s.met.cacheHit()
-	if source == "disk" {
-		s.met.diskHits.Inc()
-	}
-	s.met.outcome(StatusSucceeded)
-	fin := time.Now()
-	r.job.Status = StatusSucceeded
-	r.job.CacheHit = true
-	r.job.Result = raw
-	r.job.FinishedAt = &fin
-	s.insertLocked(r)
-	// The hit job's journal lives exactly as long as the cache entry
-	// backing it; record the dependency so eviction trims both.
-	s.keyJobs[r.key] = append(s.keyJobs[r.key], r.job.ID)
-	s.journal.Append(journal.Entry{
-		JobID: r.job.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLifecycle, Msg: "submitted",
-	})
-	s.journal.Append(journal.Entry{
-		JobID: r.job.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLifecycle, Msg: "finished: succeeded (cache hit)",
-		Final: true,
-	})
-	r.span.SetAttr("cache_hit", source)
-	r.span.End()
-	s.cfg.Logger.Info("job served from cache",
-		"job_id", r.job.ID, "type", r.job.Type, "scenario", r.job.Scenario,
-		"source", source, "trace_id", r.job.TraceID)
-	return r.job
 }
 
 // insertLocked records the job and evicts the oldest finished jobs beyond
@@ -580,29 +588,15 @@ func (s *Service) Cancel(id string) (Job, error) {
 		s.mu.Unlock()
 		return Job{}, fmt.Errorf("%w: job %q", ErrNotFound, id)
 	}
-	switch r.job.Status {
-	case StatusQueued:
-		fin := time.Now()
-		// Terminal record first: once a poller can observe the cancelled
-		// status the WAL will not re-enqueue the job after a restart.
-		s.walFinished(r.job.ID, StatusCancelled)
-		r.job.Status = StatusCancelled
-		r.job.Error = "cancelled before start"
-		r.job.FinishedAt = &fin
-		job := r.job
+	switch {
+	case r.job.Status == StatusQueued && !r.userCancelled.Swap(true):
+		// The flag keeps begin from starting the job, so finishing it
+		// outside s.mu cannot race an execution.
 		s.mu.Unlock()
-		s.met.outcome(StatusCancelled)
-		s.journal.Append(journal.Entry{
-			JobID: id, TraceID: job.TraceID,
-			Kind: journal.KindLifecycle, Msg: "finished: cancelled before start",
-			Final: true,
-		})
-		r.span.SetAttr("status", string(StatusCancelled))
-		r.span.End()
-		s.cfg.Logger.Info("job cancelled while queued", "job_id", id)
-		return job, nil
-	case StatusRunning:
-		r.userCancelled = true
+		return s.finish(r, outcome{status: StatusCancelled, err: "cancelled before start",
+			logMsg: "job cancelled while queued"}), nil
+	case r.job.Status == StatusRunning:
+		r.userCancelled.Store(true)
 		cancel := r.cancel
 		job := r.snapshot()
 		s.mu.Unlock()
@@ -798,148 +792,39 @@ func (s *Service) tryDequeue() *jobRecord {
 	return nil
 }
 
-// runJob executes one dequeued job under its timeout and finalizes its
-// record, metrics, journal, trace span and (on success) the result cache.
+// runJob executes one dequeued job under its timeout and hands the outcome
+// to finish.
 func (s *Service) runJob(r *jobRecord) {
-	// Job-scoped logger, threaded through ctx so solver-adjacent code can
-	// correlate its records with this job and its trace.
-	lg := s.cfg.Logger.With("job_id", r.job.ID, "type", r.job.Type,
-		"trace_id", r.job.TraceID)
-	monitor := invariant.New(s.cfg.Invariants, func(v invariant.Violation) {
-		s.met.invariantViolation(v.Check)
-		s.journal.Append(journal.Entry{
-			JobID: r.job.ID, TraceID: r.job.TraceID,
-			Kind: journal.KindInvariant, Check: v.Check, Msg: v.Msg,
-			Stage: v.Event.Stage, Step: v.Event.Step, T: v.Event.T,
-			Value: v.Event.Value,
-		})
-		lg.Warn("invariant violation", "check", v.Check, "detail", v.Msg,
-			"stage", v.Event.Stage, "step", v.Event.Step, "t", v.Event.T)
-	})
-	sink := s.progressSink(r, monitor, lg)
-
-	s.mu.Lock()
-	if r.job.Status != StatusQueued { // cancelled while queued
-		s.mu.Unlock()
+	ctx, cancel := context.WithTimeout(s.baseCtx, r.timeout)
+	defer cancel()
+	start, ok := s.begin(r, "", cancel)
+	if !ok { // cancelled while queued
 		return
 	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, r.timeout)
-	ctx = withInnerWorkers(ctx, s.cfg.InnerWorkers)
-	r.cancel = cancel
-	r.monitor = monitor
-	r.sink = sink
-	start := time.Now()
-	r.job.Status = StatusRunning
-	r.job.StartedAt = &start
-	s.walStarted(r.job.ID)
-	s.mu.Unlock()
-	defer cancel()
+	r.lg.Info("job started", "queue_wait_ms", durMS(start.Sub(r.job.SubmittedAt)))
+	// The job-scoped logger rides in ctx so solver-adjacent code can
+	// correlate its records with this job and its trace.
+	ctx = obs.ContextWithLogger(withInnerWorkers(ctx, s.cfg.InnerWorkers), r.lg)
 
-	queueWait := start.Sub(r.job.SubmittedAt)
-	s.met.queueWaitObserve(r.req.Class, queueWait)
-	if s.sat != nil {
-		s.sat.observe(queueWait, start)
-	}
-	s.met.running.Inc()
-	defer s.met.running.Dec()
-
-	ctx = obs.ContextWithLogger(ctx, lg)
-	s.journal.Append(journal.Entry{
-		JobID: r.job.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLifecycle, Msg: "started",
-	})
-	lg.Info("job started", "queue_wait_ms",
-		float64(start.Sub(r.job.SubmittedAt))/float64(time.Millisecond))
-
-	payload, err := execute(ctx, r.sc, r.req, sink)
-	execDone := time.Now() // everything after is the serialize segment
-	var raw json.RawMessage
+	payload, err := execute(ctx, r.sc, r.req, r.sink)
+	o := outcome{execDone: time.Now(), logMsg: "job finished"} // the rest is the serialize segment
 	if err == nil {
-		raw, err = json.Marshal(payload)
-		// Theorem 5 consistency of the finished trajectory; any violation
-		// lands in the journal before the terminal entry below.
-		if res, ok := payload.(*ODEResult); ok && err == nil {
-			monitor.CheckOutcome(res.R0, res.FinalI)
-		}
+		o.raw, err = json.Marshal(payload)
 	}
-	if err == nil {
-		// Durability before visibility: the result blob and the terminal
-		// record land on disk while the job still reads as running, so a
-		// poller that observes "succeeded" and kills the process cannot
-		// lose the result. Deliberately outside s.mu — the blob write is
-		// hundreds of microseconds of filesystem work and must not
-		// serialize the other workers.
-		s.storePutResult(r.key, raw)
-		s.walFinished(r.job.ID, StatusSucceeded)
-	}
-
-	s.mu.Lock()
-	fin := time.Now()
-	elapsed := fin.Sub(start)
-	r.job.FinishedAt = &fin
-	r.job.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	if s.met.segments != nil {
-		r.job.Latency = &JobLatency{
-			QueueWaitMS: float64(queueWait) / float64(time.Millisecond),
-			ExecuteMS:   float64(execDone.Sub(start)) / float64(time.Millisecond),
-			SerializeMS: float64(fin.Sub(execDone)) / float64(time.Millisecond),
-		}
-	}
-	shutdownCancel := false
 	switch {
 	case err == nil:
-		r.job.Status = StatusSucceeded
-		r.job.Result = raw
-		if evicted := s.cache.put(r.key, raw); len(evicted) > 0 {
-			s.met.cacheEvictions.Add(int64(len(evicted)))
-			s.trimEvictedLocked(evicted)
-		}
-		s.keyJobs[r.key] = append(s.keyJobs[r.key], r.job.ID)
-	case r.userCancelled:
-		r.job.Status = StatusCancelled
-		r.job.Error = fmt.Sprintf("cancelled by client: %v", err)
+		o.status = StatusSucceeded
+	case r.userCancelled.Load():
+		o.status, o.err = StatusCancelled, fmt.Sprintf("cancelled by client: %v", err)
 	case errors.Is(err, context.DeadlineExceeded):
-		r.job.Status = StatusFailed
-		r.job.Error = fmt.Sprintf("timed out after %s: %v", r.timeout, err)
+		o.status, o.err = StatusFailed, fmt.Sprintf("timed out after %s: %v", r.timeout, err)
 	case errors.Is(err, context.Canceled):
-		r.job.Status = StatusCancelled
-		r.job.Error = fmt.Sprintf("cancelled by shutdown: %v", err)
-		// No terminal WAL record: a shutdown-cancelled job is the crash /
-		// redeploy case, and the restarted daemon must re-enqueue it.
-		shutdownCancel = true
+		// The crash / redeploy case: the restarted daemon must re-enqueue it.
+		o.status, o.err, o.shutdown = StatusCancelled, fmt.Sprintf("cancelled by shutdown: %v", err), true
 	default:
-		r.job.Status = StatusFailed
-		r.job.Error = err.Error()
+		o.status, o.err = StatusFailed, err.Error()
 	}
-	status := r.job.Status
-	jobType := r.job.Type
-	errMsg := r.job.Error
-	// Success already logged its terminal record (with the blob) above;
-	// shutdown cancellation deliberately logs none.
-	if !shutdownCancel && status != StatusSucceeded {
-		s.walFinished(r.job.ID, status)
-	}
-	s.mu.Unlock()
-
-	s.met.outcome(status)
-	s.met.observe(jobType, elapsed)
-	s.met.segmentObserve(queueWait, execDone.Sub(start), fin.Sub(execDone))
-	msg := "finished: " + string(status)
-	if errMsg != "" {
-		msg += ": " + errMsg
-	}
-	s.journal.Append(journal.Entry{
-		JobID: r.job.ID, TraceID: r.job.TraceID,
-		Kind: journal.KindLifecycle, Msg: msg, Final: true,
-	})
-	r.endSpans(status)
-	if status == StatusSucceeded {
-		lg.Info("job finished", "status", status,
-			"elapsed_ms", float64(elapsed)/float64(time.Millisecond))
-	} else {
-		lg.Warn("job finished", "status", status,
-			"elapsed_ms", float64(elapsed)/float64(time.Millisecond), "error", errMsg)
-	}
+	s.finish(r, o)
 }
 
 // stageSpan opens the per-stage child span the first time a stage reports;

@@ -78,24 +78,11 @@ func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 				return // journal trimmed: the job's history is gone
 			}
 			writeSSE(w, e)
-			// Drain whatever queued behind it before flushing once.
-			for drained := false; !drained; {
-				select {
-				case e, open := <-ch:
-					if !open {
-						flusher.Flush()
-						return
-					}
-					writeSSE(w, e)
-					if e.Final {
-						flusher.Flush()
-						return
-					}
-				default:
-					drained = true
-				}
+			// A burst flushes once, when whatever queued behind the entry
+			// has been written too.
+			if e.Final || len(ch) == 0 {
+				flusher.Flush()
 			}
-			flusher.Flush()
 			if e.Final {
 				return
 			}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"strconv"
 	"time"
 
 	"rumornet/internal/obs"
@@ -121,13 +122,15 @@ type metrics struct {
 	// shed counts batch submissions refused under saturation (a subset of
 	// rejected).
 	shed *obs.Counter
-	// segments decomposes end-to-end job latency (latency.go); nil when
-	// Config.DisableSegmentMetrics benched the hooks away.
+	// segments decomposes end-to-end job latency (latency.go).
 	segments map[string]*obs.Histogram
 	abmStep  *obs.Histogram // per-sweep wall time from StageABM events
 	running  *obs.Gauge     // jobs currently executing (busy workers)
 
-	httpRequests map[string]*obs.Counter // by method; code recorded per call
+	// httpRequests is rumor_http_requests_total pre-registered by bounded
+	// method label, then by bounded code label: the request path does a
+	// map read, never a registry lookup.
+	httpRequests map[string]map[string]*obs.Counter
 	httpDuration *obs.Histogram
 
 	invariants map[string]*obs.Counter // violations by check name
@@ -159,7 +162,7 @@ var walBuckets = []float64{
 	1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1,
 }
 
-func newMetrics(disableSegments bool) *metrics {
+func newMetrics() *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{
 		reg: reg,
@@ -182,7 +185,7 @@ func newMetrics(disableSegments bool) *metrics {
 			[]float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1}),
 		running: reg.Gauge("rumor_jobs_running",
 			"Jobs currently executing on the worker pool."),
-		httpRequests: map[string]*obs.Counter{},
+		httpRequests: map[string]map[string]*obs.Counter{},
 		httpDuration: reg.Histogram("rumor_http_request_duration_seconds",
 			"HTTP request handling latency.",
 			[]float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}),
@@ -212,12 +215,18 @@ func newMetrics(disableSegments bool) *metrics {
 			"Numerical invariant violations detected by the per-job monitors.",
 			obs.L("check", check))
 	}
-	if !disableSegments {
-		m.segments = map[string]*obs.Histogram{}
-		for _, seg := range []string{segQueueWait, segExecute, segSerialize} {
-			m.segments[seg] = reg.Histogram("rumor_job_latency_segment_seconds",
-				"End-to-end job latency decomposed into queue-wait/execute/serialize segments (DESIGN.md §14).",
-				queueWaitBuckets, obs.L("segment", seg))
+	m.segments = map[string]*obs.Histogram{}
+	for _, seg := range []string{segQueueWait, segExecute, segSerialize} {
+		m.segments[seg] = reg.Histogram("rumor_job_latency_segment_seconds",
+			"End-to-end job latency decomposed into queue-wait/execute/serialize segments (DESIGN.md §14).",
+			queueWaitBuckets, obs.L("segment", seg))
+	}
+	for _, method := range httpMethodLabels {
+		m.httpRequests[method] = map[string]*obs.Counter{}
+		for _, code := range httpCodeLabels {
+			m.httpRequests[method][code] = reg.Counter("rumor_http_requests_total",
+				"HTTP requests handled, by method and status code.",
+				obs.L("method", method), obs.L("code", code))
 		}
 	}
 	m.surfaceQueries = map[string]*obs.Counter{}
@@ -369,56 +378,33 @@ func (m *metrics) invariantViolation(check string) {
 	}
 }
 
-func (m *metrics) submit()    { m.submitted.Inc() }
-func (m *metrics) reject()    { m.rejected.Inc() }
-func (m *metrics) cacheHit()  { m.cacheHits.Inc() }
-func (m *metrics) cacheMiss() { m.cacheMisses.Inc() }
-
-// outcome records a terminal job status.
-func (m *metrics) outcome(status Status) {
-	if c := m.outcomes[status]; c != nil {
-		c.Inc()
-	}
-}
-
-// observe records one execution latency sample for a job type (cache hits
-// and queued-cancellations never execute and are not observed).
-func (m *metrics) observe(t JobType, elapsed time.Duration) {
-	if h := m.latency[t]; h != nil {
-		h.Observe(elapsed.Seconds())
-	}
-}
-
 // httpObserve records one handled HTTP request.
 func (m *metrics) httpObserve(method string, code int, elapsed time.Duration) {
-	m.reg.Counter("rumor_http_requests_total",
-		"HTTP requests handled, by method and status code.",
-		obs.L("method", method), obs.L("code", httpCodeLabel(code))).Inc()
+	m.httpRequests[httpMethodLabel(method)][httpCodeLabel(code)].Inc()
 	m.httpDuration.Observe(elapsed.Seconds())
 }
 
-// httpCodeLabel keeps the status-code label bounded to the small set of
-// codes the API emits (plus a catch-all), honouring the cardinality rules.
+// The method and code labels are bounded to the methods the API routes and
+// the codes it emits, plus a catch-all each, honouring the cardinality
+// rules: a client sending junk methods cannot mint series.
+var (
+	httpMethodLabels = []string{"GET", "POST", "DELETE", "other"}
+	httpCodeLabels   = []string{"200", "201", "202", "400", "404", "405", "409", "500", "503", "other"}
+)
+
+func httpMethodLabel(method string) string {
+	switch method {
+	case "GET", "POST", "DELETE":
+		return method
+	default:
+		return "other"
+	}
+}
+
 func httpCodeLabel(code int) string {
 	switch code {
-	case 200:
-		return "200"
-	case 201:
-		return "201"
-	case 202:
-		return "202"
-	case 400:
-		return "400"
-	case 404:
-		return "404"
-	case 405:
-		return "405"
-	case 409:
-		return "409"
-	case 500:
-		return "500"
-	case 503:
-		return "503"
+	case 200, 201, 202, 400, 404, 405, 409, 500, 503:
+		return strconv.Itoa(code)
 	default:
 		return "other"
 	}

@@ -32,9 +32,9 @@ const (
 	outcomeFallbackTolerance = "fallback_tolerance"
 )
 
-// surfacePollInterval is the cadence at which a surface build polls its
-// in-flight grid-point jobs for terminal status.
-const surfacePollInterval = 2 * time.Millisecond
+// surfaceBackoff is how long a build waits for the queue to move when a
+// grid point is refused and it has none of its own in flight to finish.
+const surfaceBackoff = 20 * time.Millisecond
 
 // surfaceBuildWindow bounds the grid-point jobs a build keeps in flight:
 // enough to keep the batch queue fed without monopolizing its depth.
@@ -574,40 +574,35 @@ func (s *Service) buildSurface(e *surfaceEntry, base Request) {
 
 	type pending struct {
 		idx int
-		id  string
+		r   *jobRecord
 	}
 	var inflight []pending
 
-	// drainOne blocks until the oldest in-flight grid point reaches a
-	// terminal status and extracts its fields.
+	// drainOne blocks until the oldest in-flight grid point is terminal
+	// (a cache hit already is) and extracts its fields.
 	drainOne := func() error {
 		p := inflight[0]
 		inflight = inflight[1:]
-		for {
-			job, ok := s.Job(p.id)
-			if !ok {
-				return fmt.Errorf("grid point %d: job %s evicted mid-build", p.idx, p.id)
-			}
-			if job.Status.Terminal() {
-				if job.Status != StatusSucceeded {
-					return fmt.Errorf("grid point %d: %s: %s", p.idx, job.Status, job.Error)
-				}
-				for _, f := range e.spec.Fields {
-					v, err := extractField(job.Result, f)
-					if err != nil {
-						return fmt.Errorf("grid point %d: %v", p.idx, err)
-					}
-					fields[f][p.idx] = v
-				}
-				e.pointsDone.Add(1)
-				return nil
-			}
-			select {
-			case <-s.baseCtx.Done():
-				return fmt.Errorf("surface build aborted: %w", s.baseCtx.Err())
-			case <-time.After(surfacePollInterval):
-			}
+		select {
+		case <-p.r.done:
+		case <-s.baseCtx.Done():
+			return fmt.Errorf("surface build aborted: %w", s.baseCtx.Err())
 		}
+		s.mu.Lock()
+		job := p.r.snapshot()
+		s.mu.Unlock()
+		if job.Status != StatusSucceeded {
+			return fmt.Errorf("grid point %d: %s: %s", p.idx, job.Status, job.Error)
+		}
+		for _, f := range e.spec.Fields {
+			v, err := extractField(job.Result, f)
+			if err != nil {
+				return fmt.Errorf("grid point %d: %v", p.idx, err)
+			}
+			fields[f][p.idx] = v
+		}
+		e.pointsDone.Add(1)
+		return nil
 	}
 
 	for i := 0; i < n; i++ {
@@ -617,30 +612,9 @@ func (s *Service) buildSurface(e *surfaceEntry, base Request) {
 			axisParams[ax.Name].set(&req.Params, coords[a])
 		}
 		for {
-			job, err := s.Submit(req)
+			r, _, err := s.submit(s.baseCtx, req)
 			if err == nil {
-				if job.Status.Terminal() { // cache hit: extract inline
-					if job.Status != StatusSucceeded {
-						s.surf.fail(e, fmt.Errorf("grid point %d: %s: %s", i, job.Status, job.Error))
-						return
-					}
-					bad := false
-					for _, f := range e.spec.Fields {
-						v, ferr := extractField(job.Result, f)
-						if ferr != nil {
-							s.surf.fail(e, fmt.Errorf("grid point %d: %v", i, ferr))
-							bad = true
-							break
-						}
-						fields[f][i] = v
-					}
-					if bad {
-						return
-					}
-					e.pointsDone.Add(1)
-				} else {
-					inflight = append(inflight, pending{i, job.ID})
-				}
+				inflight = append(inflight, pending{i, r})
 				break
 			}
 			if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrSaturated) {
@@ -657,7 +631,7 @@ func (s *Service) buildSurface(e *surfaceEntry, base Request) {
 				case <-s.baseCtx.Done():
 					s.surf.fail(e, fmt.Errorf("surface build aborted: %w", s.baseCtx.Err()))
 					return
-				case <-time.After(10 * surfacePollInterval):
+				case <-time.After(surfaceBackoff):
 				}
 				continue
 			}
@@ -910,11 +884,7 @@ func queryFromURL(v url.Values) (Query, error) {
 	}{
 		{"trials", &q.Params.Trials},
 		{"nodes", &q.Params.Nodes},
-		{"seed", nil}, // handled below: int64
 	} {
-		if fld.dst == nil {
-			continue
-		}
 		if raw := v.Get(fld.name); raw != "" {
 			n, err := strconv.Atoi(raw)
 			if err != nil {

@@ -35,19 +35,23 @@ const (
 	maxRelaySpans   = 256
 )
 
-// mergeWorkerRelay folds a worker's uploaded journal entries and finished
-// spans into the coordinator's own observability state. Entry identity is
-// restamped server-side — JobID and TraceID are forced to the leased job's
-// values and Seq is reallocated by the journal — so a worker can annotate
-// only the job it holds a valid lease for (the caller has already fenced
-// the token).
-func (s *Service) mergeWorkerRelay(jobID, traceID string, entries []journal.Entry, spans []trace.SpanData) {
+// mergeWorkerRelay folds a fenced job's relayed progress events, journal
+// entries and finished spans into the coordinator's own observability
+// state. The events run through the execution's sink, exactly like a
+// local solver's. Entry identity is restamped server-side — JobID and
+// TraceID are forced to the leased job's values and Seq is reallocated by
+// the journal — so a worker can annotate only the job it holds a valid
+// lease for (the caller has already fenced the token).
+func (s *Service) mergeWorkerRelay(r *jobRecord, sink obs.Progress, events []ProgressEvent, entries []journal.Entry, spans []trace.SpanData) {
+	for _, ev := range events {
+		sink(ev.toObs())
+	}
 	if len(entries) > maxRelayJournal {
 		entries = entries[:maxRelayJournal]
 	}
 	for _, e := range entries {
-		e.JobID = jobID
-		e.TraceID = traceID
+		e.JobID = r.job.ID
+		e.TraceID = r.job.TraceID
 		e.Seq = 0
 		s.journal.Append(e)
 	}

@@ -12,13 +12,13 @@
 # serialize) — all latencies coordinated-omission-correct, measured from
 # the scheduled send time.
 #
-# The sweep is followed by the segment-hook overhead pair
-# (BenchmarkJobSegmentsOff/On, fastest of 3 runs each) merged into the
-# same file as a "benchmarks" array, so one
+# The sweep is followed by the job-throughput bench with latency
+# attribution on (BenchmarkJobSegmentsOn, fastest of 3 runs) merged into
+# the same file as a "benchmarks" array, so one
 #
 #   scripts/benchdiff.sh BENCH_PR9.json new.json
 #
-# gates both the per-phase p99s and the hook's ns_per_op with the 5%
+# gates both the per-phase p99s and the bench's ns_per_op with the 5%
 # threshold.
 #
 # The pr10 suite instead records the response-surface serving story
@@ -80,10 +80,10 @@ go run ./cmd/rumorload -selfhost -selfhost-workers 1 \
 	-selfhost-saturation-budget 250ms \
 	-rates "$rates" -duration "$duration" -mix "$mix" -hot 0.5 \
 	-poll 25ms -suite pr9-latency \
-	-note "open-loop sweep, selfhost 1 worker, built-in Digg2009 scenario (~38ms/ODE job => ~26 jobs/s capacity), 250ms queue-wait p99 budget; latencies measured from scheduled send time (coordinated-omission-correct); benchmarks = segment-hook overhead pair, fastest of 3, claim < 5%" \
+	-note "open-loop sweep, selfhost 1 worker, built-in Digg2009 scenario (~38ms/ODE job => ~26 jobs/s capacity), 250ms queue-wait p99 budget; latencies measured from scheduled send time (coordinated-omission-correct); benchmarks = job throughput with attribution on, fastest of 3" \
 	-out "$tmpart"
 
-go test -run '^$' -bench 'BenchmarkJobSegments(Off|On)$' \
+go test -run '^$' -bench 'BenchmarkJobSegmentsOn$' \
 	-benchmem -count 3 ./internal/service | tee "$tmpbench"
 
 # Merge: reopen the artifact before its closing brace and append the
