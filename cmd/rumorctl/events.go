@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
 
 	"rumornet/internal/cli"
@@ -32,20 +31,11 @@ func runEvents(args []string, out io.Writer) error {
 	if !*follow {
 		url += "?follow=0"
 	}
-	resp, err := http.Get(url)
+	resp, err := get(url)
 	if err != nil {
-		return fmt.Errorf("connect: %w", err)
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var apiErr struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&apiErr) == nil && apiErr.Error != "" {
-			return fmt.Errorf("rumord: %s", apiErr.Error)
-		}
-		return fmt.Errorf("rumord: status %d", resp.StatusCode)
-	}
 	return printSSE(resp.Body, out)
 }
 

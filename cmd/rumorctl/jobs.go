@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"net/url"
 	"strings"
 	"text/tabwriter"
@@ -44,27 +42,13 @@ func runJobs(args []string, out io.Writer) error {
 	if len(q) > 0 {
 		u += "?" + q.Encode()
 	}
-	resp, err := http.Get(u)
-	if err != nil {
-		return fmt.Errorf("connect: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var apiErr struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&apiErr) == nil && apiErr.Error != "" {
-			return fmt.Errorf("rumord: %s", apiErr.Error)
-		}
-		return fmt.Errorf("rumord: status %d", resp.StatusCode)
-	}
 	var page struct {
 		Jobs  []service.Job `json:"jobs"`
 		Count int           `json:"count"`
 		Total int           `json:"total"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		return fmt.Errorf("decode job index: %w", err)
+	if err := getJSON(u, &page); err != nil {
+		return err
 	}
 
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)

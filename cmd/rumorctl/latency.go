@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,13 +25,13 @@ type latencySummary struct {
 // summary — the dashboard's primary data is the worker registry, and a
 // daemon that exports no segment series simply renders none.
 func fetchLatency(addr string) latencySummary {
-	resp, err := http.Get(strings.TrimSuffix(addr, "/") + "/metrics")
+	resp, err := get(strings.TrimSuffix(addr, "/") + "/metrics")
 	if err != nil {
 		return latencySummary{}
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
+	if err != nil {
 		return latencySummary{}
 	}
 	return parseLatency(string(raw))

@@ -143,24 +143,12 @@ func parseAxis(s string) (map[string]any, error) {
 }
 
 func listSurfaces(base string, out io.Writer) error {
-	resp, err := http.Get(base + "/v1/surfaces")
-	if err != nil {
-		return fmt.Errorf("connect: %w", err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp.StatusCode, raw)
-	}
 	var page struct {
 		Surfaces []service.SurfaceInfo `json:"surfaces"`
 		Count    int                   `json:"count"`
 	}
-	if err := json.Unmarshal(raw, &page); err != nil {
-		return fmt.Errorf("decode surface index: %w", err)
+	if err := getJSON(base+"/v1/surfaces", &page); err != nil {
+		return err
 	}
 	if page.Count == 0 {
 		fmt.Fprintln(out, "no surfaces resident (build one with rumorctl surfaces -build)")
@@ -181,22 +169,10 @@ func listSurfaces(base string, out io.Writer) error {
 }
 
 func fetchSurface(base, key string) (service.SurfaceInfo, error) {
-	resp, err := http.Get(base + "/v1/surfaces")
-	if err != nil {
-		return service.SurfaceInfo{}, err
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return service.SurfaceInfo{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return service.SurfaceInfo{}, apiError(resp.StatusCode, raw)
-	}
 	var page struct {
 		Surfaces []service.SurfaceInfo `json:"surfaces"`
 	}
-	if err := json.Unmarshal(raw, &page); err != nil {
+	if err := getJSON(base+"/v1/surfaces", &page); err != nil {
 		return service.SurfaceInfo{}, err
 	}
 	for _, s := range page.Surfaces {
@@ -291,33 +267,13 @@ func runQuery(args []string, out io.Writer) error {
 	return nil
 }
 
-// apiError renders a daemon error body ({"error": ...}) or the bare status.
-func apiError(code int, raw []byte) error {
-	var apiErr struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(raw, &apiErr) == nil && apiErr.Error != "" {
-		return fmt.Errorf("rumord: %s", apiErr.Error)
-	}
-	return fmt.Errorf("rumord: status %d", code)
-}
-
 // fetchSurfaceStats reads the surface section off GET /v1/stats; failures
 // degrade to nil (standalone daemons without the tier render nothing).
 func fetchSurfaceStats(addr string) *service.SurfaceStats {
-	resp, err := http.Get(strings.TrimRight(addr, "/") + "/v1/stats")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return nil
-	}
 	var st struct {
 		Surface *service.SurfaceStats `json:"surface"`
 	}
-	if json.Unmarshal(raw, &st) != nil {
+	if getJSON(strings.TrimRight(addr, "/")+"/v1/stats", &st) != nil {
 		return nil
 	}
 	return st.Surface

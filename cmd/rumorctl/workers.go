@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -17,26 +15,11 @@ import (
 // fetchWorkers retrieves the coordinator's worker registry
 // (GET /v1/workers); the workers and top subcommands share it.
 func fetchWorkers(addr string) ([]cluster.WorkerInfo, error) {
-	resp, err := http.Get(strings.TrimRight(addr, "/") + "/v1/workers")
-	if err != nil {
-		return nil, fmt.Errorf("connect: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var apiErr struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&apiErr) == nil && apiErr.Error != "" {
-			return nil, fmt.Errorf("rumord: %s", apiErr.Error)
-		}
-		return nil, fmt.Errorf("rumord: status %d", resp.StatusCode)
-	}
 	var page struct {
 		Workers []cluster.WorkerInfo `json:"workers"`
-		Count   int                  `json:"count"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		return nil, fmt.Errorf("decode worker registry: %w", err)
+	if err := getJSON(strings.TrimRight(addr, "/")+"/v1/workers", &page); err != nil {
+		return nil, err
 	}
 	return page.Workers, nil
 }

@@ -216,14 +216,6 @@ func (t *Table) Release(jobID, token string) (Lease, error) {
 	return *l, nil
 }
 
-// Drop removes a job's lease unconditionally (job cancelled or terminally
-// failed coordinator-side). A no-op when none is held.
-func (t *Table) Drop(jobID string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.leases, jobID)
-}
-
 // RequestCancel marks a leased job for cancellation; the flag rides back
 // on the next heartbeat acknowledgement. Reports whether a lease was held.
 func (t *Table) RequestCancel(jobID string) bool {

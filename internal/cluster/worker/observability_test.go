@@ -1,7 +1,6 @@
 package worker_test
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"rumornet/internal/cluster/worker"
 	"rumornet/internal/obs/trace"
 	"rumornet/internal/service"
 	"rumornet/internal/store"
@@ -35,35 +33,6 @@ func (h *harness) getBody(path string) (int, []byte) {
 		h.t.Fatal(err)
 	}
 	return resp.StatusCode, body
-}
-
-// startWorkerOpts runs a worker node with extra option tweaks on top of
-// the harness's fast test timings.
-func (h *harness) startWorkerOpts(id string, mut func(*worker.Options)) {
-	h.t.Helper()
-	opts := worker.Options{
-		Coordinator: h.ts.URL,
-		ID:          id,
-		PollMin:     2 * time.Millisecond,
-		PollMax:     20 * time.Millisecond,
-	}
-	if mut != nil {
-		mut(&opts)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- worker.Run(ctx, opts) }()
-	h.t.Cleanup(func() {
-		cancel()
-		select {
-		case err := <-done:
-			if err != nil {
-				h.t.Errorf("worker %s: %v", id, err)
-			}
-		case <-time.After(30 * time.Second):
-			h.t.Fatalf("worker %s did not stop", id)
-		}
-	})
 }
 
 // dumpSpans fetches the coordinator's finished spans through the same
@@ -234,35 +203,6 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 	// Healthy again: readyz recovered with the worker live and queue idle.
 	if code, _ = h.getBody("/readyz"); code != http.StatusOK {
 		t.Errorf("readyz after completion: %d, want 200", code)
-	}
-}
-
-// TestWorkerTelemetryDisabled runs a node with DisableTelemetry and checks
-// the job still completes while no relay payload reaches the coordinator —
-// the wire protocol treats every telemetry field as optional.
-func TestWorkerTelemetryDisabled(t *testing.T) {
-	h := newCoordinator(t, nil)
-	h.startWorkerOpts("w-quiet", func(o *worker.Options) { o.DisableTelemetry = true })
-
-	job, err := h.svc.Submit(service.Request{Type: service.JobODE, Scenario: "tiny",
-		Params: service.Params{Lambda0: 0.02, Tf: 40, Points: 50}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := h.waitJob(job.ID)
-	if done.Status != service.StatusSucceeded {
-		t.Fatalf("job: %s (%s)", done.Status, done.Error)
-	}
-	if _, body := h.getBody("/metrics"); strings.Contains(string(body), "rumor_worker_") {
-		t.Error("telemetry-disabled worker leaked a registry snapshot onto /metrics")
-	}
-	ws := h.svc.Workers()
-	if len(ws) != 1 || ws[0].Telemetry != nil {
-		t.Errorf("workers = %+v, want one worker without telemetry", ws)
-	}
-	// Progress relay still works without the telemetry payload.
-	if done.Progress == nil {
-		t.Error("progress relay broken with telemetry disabled")
 	}
 }
 

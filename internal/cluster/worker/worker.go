@@ -68,12 +68,6 @@ type Options struct {
 	// rumord's worker mode passes its own so -debug-addr can expose the
 	// same instruments locally that the coordinator re-exports remotely.
 	Registry *obs.Registry
-	// DisableTelemetry strips the relay payload — journal entries, spans,
-	// registry snapshots and health samples — from heartbeats and result
-	// uploads, leaving only the lease protocol and progress events. The
-	// overhead benchmarks use it as the baseline arm; operators can use it
-	// on pathologically slow links.
-	DisableTelemetry bool
 }
 
 func (o Options) withDefaults() Options {
@@ -184,9 +178,6 @@ func (n *node) memSample() runtime.MemStats {
 
 // telemetry builds the health sample piggybacked on heartbeats and uploads.
 func (n *node) telemetry() *cluster.Telemetry {
-	if n.opts.DisableTelemetry {
-		return nil
-	}
 	ms := n.memSample()
 	stage, _ := n.lastStage.Load().(string)
 	return &cluster.Telemetry{
@@ -202,14 +193,11 @@ func (n *node) telemetry() *cluster.Telemetry {
 }
 
 // relaySnapshot samples the relay registry, at most once per snapshotEvery
-// across all send channels (nil when throttled or telemetry is disabled).
+// across all send channels (nil when throttled).
 // The first call ships immediately so a short-lived worker still reports;
 // a send that then fails on the wire just waits out the window — snapshots
 // are absolute values, so nothing is lost, only delayed.
 func (n *node) relaySnapshot() obs.Snapshot {
-	if n.opts.DisableTelemetry {
-		return nil
-	}
 	n.snapMu.Lock()
 	defer n.snapMu.Unlock()
 	if !n.snapAt.IsZero() && time.Since(n.snapAt) < snapshotEvery {
@@ -325,9 +313,6 @@ func (n *node) runLeased(leased *service.LeasedJob, lg *slog.Logger) {
 		dropped    int
 	)
 	addEntry := func(kind, msg string) {
-		if opts.DisableTelemetry {
-			return
-		}
 		e := journal.Entry{
 			JobID: leased.JobID, TraceID: leased.TraceID,
 			Kind: kind, Msg: msg,
@@ -345,14 +330,12 @@ func (n *node) runLeased(leased *service.LeasedJob, lg *slog.Logger) {
 			n.abmStep.Observe(ev.Elapsed.Seconds())
 		}
 		mu.Lock()
-		if !opts.DisableTelemetry {
-			if stageSpans == nil {
-				stageSpans = make(map[string]*trace.Span)
-			}
-			if _, ok := stageSpans[ev.Stage]; !ok {
-				stageSpans[ev.Stage] = jobTracer.StartSpan("stage."+ev.Stage, parent,
-					obs.L("worker", opts.ID), obs.L("job_id", leased.JobID))
-			}
+		if stageSpans == nil {
+			stageSpans = make(map[string]*trace.Span)
+		}
+		if _, ok := stageSpans[ev.Stage]; !ok {
+			stageSpans[ev.Stage] = jobTracer.StartSpan("stage."+ev.Stage, parent,
+				obs.L("worker", opts.ID), obs.L("job_id", leased.JobID))
 		}
 		if len(events) >= eventBufferCap {
 			events = events[1:]
@@ -372,9 +355,6 @@ func (n *node) runLeased(leased *service.LeasedJob, lg *slog.Logger) {
 	// finished since the last upload (the ring never wraps at jobSpanRingCap,
 	// so the cursor is a plain offset).
 	drainRelay := func() ([]journal.Entry, []trace.SpanData) {
-		if opts.DisableTelemetry {
-			return nil, nil
-		}
 		mu.Lock()
 		je := jentries
 		jentries = nil

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 
 	"rumornet/internal/graph"
@@ -217,6 +218,28 @@ func (d *Dist) Truncate(maxGroups int) (*Dist, error) {
 		p[i] /= total
 	}
 	return &Dist{ks: ks, p: p}, nil
+}
+
+// SampleDegrees draws an n-node out-degree sequence from the distribution
+// by inverse-CDF sampling, consuming exactly one rng.Float64 per node in
+// node order — the realisation an agent-based run builds its
+// configuration-model graph from.
+func (d *Dist) SampleDegrees(n int, rng *rand.Rand) []int {
+	cdf := make([]float64, len(d.p))
+	var cum float64
+	for i, p := range d.p {
+		cum += p
+		cdf[i] = cum
+	}
+	seq := make([]int, n)
+	for i := range seq {
+		g := sort.SearchFloat64s(cdf, rng.Float64())
+		if g >= len(d.ks) {
+			g = len(d.ks) - 1
+		}
+		seq[i] = d.ks[g]
+	}
+	return seq
 }
 
 // Validate checks the structural invariants: sorted distinct degrees ≥ 1

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -201,24 +203,6 @@ func TestKFuncs(t *testing.T) {
 	if got := LambdaLinear(-1)(5); got != 0 {
 		t.Errorf("LambdaLinear clamp low = %v, want 0", got)
 	}
-	capped := LambdaLinearCapped(0.01, 1)
-	if got := capped(1000); got != 1 {
-		t.Errorf("LambdaLinearCapped high = %v, want 1", got)
-	}
-	if got := capped(50); got != 0.5 {
-		t.Errorf("LambdaLinearCapped mid = %v, want 0.5", got)
-	}
-	if got := LambdaLinearCapped(-1, 1)(5); got != 0 {
-		t.Errorf("LambdaLinearCapped low = %v, want 0", got)
-	}
-
-	lc, err := LambdaConstant(0.3)
-	if err != nil || lc(123) != 0.3 {
-		t.Errorf("LambdaConstant = %v, %v", lc(123), err)
-	}
-	if _, err := LambdaConstant(1.5); err == nil {
-		t.Error("LambdaConstant(1.5): want error")
-	}
 }
 
 // Property: every empirical distribution built from a random degree
@@ -266,5 +250,37 @@ func TestQuickPowerLawMeanMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSampleDegreesMatchesReference pins SampleDegrees to the inverse-CDF
+// loop it replaced in rumorsim and the service's ABM job: same draws in the
+// same order, so ABM graphs (and job payloads) stay bit-identical per seed.
+func TestSampleDegreesMatchesReference(t *testing.T) {
+	d, err := TruncatedPowerLaw(1.5, 1, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference := func(n int, rng *rand.Rand) []int {
+		cdf := make([]float64, d.N())
+		var cum float64
+		for i := 0; i < d.N(); i++ {
+			cum += d.Prob(i)
+			cdf[i] = cum
+		}
+		seq := make([]int, n)
+		for i := range seq {
+			g := sort.SearchFloat64s(cdf, rng.Float64())
+			if g >= d.N() {
+				g = d.N() - 1
+			}
+			seq[i] = d.Degree(g)
+		}
+		return seq
+	}
+	got := d.SampleDegrees(5000, rand.New(rand.NewSource(3)))
+	want := reference(5000, rand.New(rand.NewSource(3)))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("SampleDegrees diverged from the reference inverse-CDF draw sequence")
 	}
 }

@@ -1,7 +1,6 @@
 package degreedist
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -42,29 +41,4 @@ func LambdaLinear(scale float64) KFunc {
 		}
 		return 0
 	}
-}
-
-// LambdaLinearCapped returns λ(k) = clamp(scale·k, 0, cap) for callers that
-// want the probability interpretation of the acceptance rate.
-func LambdaLinearCapped(scale, cap float64) KFunc {
-	return func(k float64) float64 {
-		v := scale * k
-		switch {
-		case v < 0:
-			return 0
-		case v > cap:
-			return cap
-		default:
-			return v
-		}
-	}
-}
-
-// LambdaConstant returns λ(k) = c, the homogeneous acceptance rate used by
-// the non-heterogeneous baselines. c must lie in [0, 1].
-func LambdaConstant(c float64) (KFunc, error) {
-	if c < 0 || c > 1 {
-		return nil, fmt.Errorf("degreedist: acceptance rate %g outside [0,1]", c)
-	}
-	return func(float64) float64 { return c }, nil
 }

@@ -18,6 +18,7 @@ package digg
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -27,7 +28,6 @@ import (
 
 	"rumornet/internal/degreedist"
 	"rumornet/internal/graph"
-	"rumornet/internal/stats"
 )
 
 // Published Digg2009 statistics from Section V of the paper.
@@ -64,7 +64,7 @@ func Summarize(g *graph.Graph) Stats {
 	if min == math.MaxInt {
 		min = 0
 	}
-	gamma, _, err := fitGamma(degs)
+	gamma, _, err := fitGamma(degs, 6)
 	if err != nil {
 		gamma = math.NaN()
 	}
@@ -276,9 +276,29 @@ func LoadFriendsCSV(r io.Reader) (*graph.Graph, []int64, error) {
 	return g, ids, nil
 }
 
-// fitGamma estimates the out-degree power-law exponent with the
-// Clauset–Shalizi–Newman MLE at the kmin where the approximation is
-// reliable.
-func fitGamma(degs []int) (float64, int, error) {
-	return stats.PowerLawFit(degs, 6)
+// fitGamma estimates the exponent gamma of the discrete out-degree power law
+// P(k) ∝ k^-gamma from the degrees ks at or above kmin, using the
+// Clauset–Shalizi–Newman continuous approximation
+//
+//	gamma ≈ 1 + n / Σ ln(k_i / (kmin - 1/2)).
+//
+// The approximation is reliable for kmin >= 6 (Clauset–Shalizi–Newman
+// 2009, §3.4), which is what Summarize uses. It returns an error if fewer
+// than two degrees survive the cut.
+func fitGamma(ks []int, kmin int) (gamma float64, n int, err error) {
+	if kmin < 1 {
+		return 0, 0, errors.New("digg: power-law fit needs kmin >= 1")
+	}
+	var sum float64
+	for _, k := range ks {
+		if k < kmin {
+			continue
+		}
+		sum += math.Log(float64(k) / (float64(kmin) - 0.5))
+		n++
+	}
+	if n < 2 {
+		return 0, 0, errors.New("digg: power-law fit needs two degrees at or above kmin")
+	}
+	return 1 + float64(n)/sum, n, nil
 }

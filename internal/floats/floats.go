@@ -13,31 +13,6 @@ import (
 	"strconv"
 )
 
-// Add adds src to dst element-wise and stores the result in dst.
-// It panics if the slices have different lengths.
-func Add(dst, src []float64) {
-	mustSameLen(len(dst), len(src))
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
-// Sub subtracts src from dst element-wise and stores the result in dst.
-// It panics if the slices have different lengths.
-func Sub(dst, src []float64) {
-	mustSameLen(len(dst), len(src))
-	for i, v := range src {
-		dst[i] -= v
-	}
-}
-
-// Scale multiplies every element of dst by c.
-func Scale(dst []float64, c float64) {
-	for i := range dst {
-		dst[i] *= c
-	}
-}
-
 // AddScaled computes dst += c*src element-wise (the BLAS "axpy" operation).
 // It panics if the slices have different lengths.
 func AddScaled(dst []float64, c float64, src []float64) {
@@ -54,17 +29,6 @@ func Fill(dst []float64, v float64) {
 	}
 }
 
-// Dot returns the inner product of a and b.
-// It panics if the slices have different lengths.
-func Dot(a, b []float64) float64 {
-	mustSameLen(len(a), len(b))
-	var sum float64
-	for i, v := range a {
-		sum += v * b[i]
-	}
-	return sum
-}
-
 // Sum returns the sum of the elements of a.
 func Sum(a []float64) float64 {
 	var sum float64
@@ -72,51 +36,6 @@ func Sum(a []float64) float64 {
 		sum += v
 	}
 	return sum
-}
-
-// Norm2 returns the Euclidean (L2) norm of a.
-func Norm2(a []float64) float64 {
-	var sum float64
-	for _, v := range a {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
-}
-
-// NormInf returns the maximum-magnitude (L-infinity) norm of a.
-func NormInf(a []float64) float64 {
-	var m float64
-	for _, v := range a {
-		if av := math.Abs(v); av > m {
-			m = av
-		}
-	}
-	return m
-}
-
-// Dist2 returns the Euclidean distance between a and b.
-// It panics if the slices have different lengths.
-func Dist2(a, b []float64) float64 {
-	mustSameLen(len(a), len(b))
-	var sum float64
-	for i, v := range a {
-		d := v - b[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum)
-}
-
-// DistInf returns the L-infinity distance between a and b.
-// It panics if the slices have different lengths.
-func DistInf(a, b []float64) float64 {
-	mustSameLen(len(a), len(b))
-	var m float64
-	for i, v := range a {
-		if d := math.Abs(v - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // Clamp returns v restricted to the closed interval [lo, hi].
@@ -135,41 +54,6 @@ func Clamp(v, lo, hi float64) float64 {
 	default:
 		return v
 	}
-}
-
-// ClampAll clamps every element of dst to [lo, hi] in place.
-func ClampAll(dst []float64, lo, hi float64) {
-	for i, v := range dst {
-		dst[i] = Clamp(v, lo, hi)
-	}
-}
-
-// Max returns the maximum element of a. It panics if a is empty.
-func Max(a []float64) float64 {
-	if len(a) == 0 {
-		panic("floats: Max of empty slice")
-	}
-	m := a[0]
-	for _, v := range a[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element of a. It panics if a is empty.
-func Min(a []float64) float64 {
-	if len(a) == 0 {
-		panic("floats: Min of empty slice")
-	}
-	m := a[0]
-	for _, v := range a[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.
@@ -195,20 +79,6 @@ func Clone(a []float64) []float64 {
 	out := make([]float64, len(a))
 	copy(out, a)
 	return out
-}
-
-// EqualWithin reports whether a and b have the same length and every pair of
-// elements differs by at most tol.
-func EqualWithin(a, b []float64, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if math.Abs(v-b[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // AllFinite reports whether every element of a is finite (not NaN or ±Inf).

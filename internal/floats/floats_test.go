@@ -6,38 +6,11 @@ import (
 	"testing/quick"
 )
 
-func TestAdd(t *testing.T) {
-	dst := []float64{1, 2, 3}
-	Add(dst, []float64{10, 20, 30})
-	want := []float64{11, 22, 33}
-	if !EqualWithin(dst, want, 0) {
-		t.Errorf("Add = %v, want %v", dst, want)
-	}
-}
-
-func TestSub(t *testing.T) {
-	dst := []float64{11, 22, 33}
-	Sub(dst, []float64{1, 2, 3})
-	want := []float64{10, 20, 30}
-	if !EqualWithin(dst, want, 0) {
-		t.Errorf("Sub = %v, want %v", dst, want)
-	}
-}
-
-func TestScale(t *testing.T) {
-	dst := []float64{1, -2, 3}
-	Scale(dst, -2)
-	want := []float64{-2, 4, -6}
-	if !EqualWithin(dst, want, 0) {
-		t.Errorf("Scale = %v, want %v", dst, want)
-	}
-}
-
 func TestAddScaled(t *testing.T) {
 	dst := []float64{1, 1, 1}
 	AddScaled(dst, 0.5, []float64{2, 4, 6})
 	want := []float64{2, 3, 4}
-	if !EqualWithin(dst, want, 1e-15) {
+	if !equalWithin(dst, want, 1e-15) {
 		t.Errorf("AddScaled = %v, want %v", dst, want)
 	}
 }
@@ -52,30 +25,9 @@ func TestFill(t *testing.T) {
 	}
 }
 
-func TestDotSumNorms(t *testing.T) {
-	a := []float64{3, 4}
-	if got := Dot(a, a); got != 25 {
-		t.Errorf("Dot = %v, want 25", got)
-	}
-	if got := Sum(a); got != 7 {
+func TestSum(t *testing.T) {
+	if got := Sum([]float64{3, 4}); got != 7 {
 		t.Errorf("Sum = %v, want 7", got)
-	}
-	if got := Norm2(a); got != 5 {
-		t.Errorf("Norm2 = %v, want 5", got)
-	}
-	if got := NormInf([]float64{-9, 4}); got != 9 {
-		t.Errorf("NormInf = %v, want 9", got)
-	}
-}
-
-func TestDistances(t *testing.T) {
-	a := []float64{0, 0}
-	b := []float64{3, 4}
-	if got := Dist2(a, b); got != 5 {
-		t.Errorf("Dist2 = %v, want 5", got)
-	}
-	if got := DistInf(a, b); got != 4 {
-		t.Errorf("DistInf = %v, want 4", got)
 	}
 }
 
@@ -109,29 +61,10 @@ func TestClampPanicsOnInvertedBounds(t *testing.T) {
 	Clamp(0, 1, 0)
 }
 
-func TestClampAll(t *testing.T) {
-	dst := []float64{-5, 0.25, 5}
-	ClampAll(dst, 0, 1)
-	want := []float64{0, 0.25, 1}
-	if !EqualWithin(dst, want, 0) {
-		t.Errorf("ClampAll = %v, want %v", dst, want)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	a := []float64{3, -1, 7, 2}
-	if got := Max(a); got != 7 {
-		t.Errorf("Max = %v, want 7", got)
-	}
-	if got := Min(a); got != -1 {
-		t.Errorf("Min = %v, want -1", got)
-	}
-}
-
 func TestLinspace(t *testing.T) {
 	got := Linspace(0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	if !EqualWithin(got, want, 1e-15) {
+	if !equalWithin(got, want, 1e-15) {
 		t.Errorf("Linspace = %v, want %v", got, want)
 	}
 	if got := Linspace(0, 0.3, 4); got[3] != 0.3 {
@@ -163,50 +96,16 @@ func TestAllFinite(t *testing.T) {
 	}
 }
 
-func TestEqualWithinLengthMismatch(t *testing.T) {
-	if EqualWithin([]float64{1}, []float64{1, 2}, 10) {
-		t.Error("EqualWithin with different lengths = true")
-	}
-}
-
 func TestLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Add with mismatched lengths did not panic")
+			t.Fatal("AddScaled with mismatched lengths did not panic")
 		}
 	}()
-	Add([]float64{1}, []float64{1, 2})
+	AddScaled([]float64{1}, 1, []float64{1, 2})
 }
 
-// Property: Dot is symmetric and Norm2(a)^2 == Dot(a, a).
-func TestQuickDotProperties(t *testing.T) {
-	f := func(a, b []float64) bool {
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		a, b = a[:n], b[:n]
-		if !AllFinite(a) || !AllFinite(b) {
-			return true // skip pathological random inputs
-		}
-		// Keep magnitudes bounded so float round-off stays predictable.
-		for i := range a {
-			a[i] = math.Mod(a[i], 1e3)
-			b[i] = math.Mod(b[i], 1e3)
-		}
-		d1, d2 := Dot(a, b), Dot(b, a)
-		if d1 != d2 {
-			return false
-		}
-		n2 := Norm2(a)
-		return math.Abs(n2*n2-Dot(a, a)) <= 1e-6*(1+math.Abs(Dot(a, a)))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: AddScaled(dst, 1, src) is the same as Add(dst, src).
+// Property: AddScaled(dst, 1, src) is the element-wise sum dst + src.
 func TestQuickAddScaledMatchesAdd(t *testing.T) {
 	f := func(a, b []float64) bool {
 		n := len(a)
@@ -215,30 +114,27 @@ func TestQuickAddScaledMatchesAdd(t *testing.T) {
 		}
 		a, b = a[:n], b[:n]
 		x, y := Clone(a), Clone(a)
-		Add(x, b)
+		for i, v := range b {
+			x[i] += v
+		}
 		AddScaled(y, 1, b)
-		return EqualWithin(x, y, 0)
+		return equalWithin(x, y, 0)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: ClampAll output is always within bounds.
-func TestQuickClampBounds(t *testing.T) {
-	f := func(a []float64) bool {
-		ClampAll(a, -1, 1)
-		for _, v := range a {
-			if math.IsNaN(v) {
-				continue // NaN clamps to NaN; documented float behaviour
-			}
-			if v < -1 || v > 1 {
-				return false
-			}
+// equalWithin reports whether a and b have the same length and no pair of
+// elements differs by more than tol.
+func equalWithin(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Abs(v-b[i]) > tol {
+			return false
 		}
-		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	return true
 }

@@ -224,41 +224,3 @@ func TestNewHDRPanics(t *testing.T) {
 		})
 	}
 }
-
-// TestHistogramQuantileEdges covers the same distribution edges for the
-// fixed-bucket Histogram's interpolating estimator.
-func TestHistogramQuantileEdges(t *testing.T) {
-	t.Run("empty", func(t *testing.T) {
-		h := NewHistogram([]float64{1, 2, 4})
-		if got := h.Quantile(0.99); got != 0 {
-			t.Errorf("empty Quantile = %g, want 0", got)
-		}
-	})
-	t.Run("single", func(t *testing.T) {
-		h := NewHistogram([]float64{1, 2, 4})
-		h.Observe(1.5)
-		got := h.Quantile(0.5)
-		if got < 1 || got > 2 {
-			t.Errorf("single-sample Quantile(0.5) = %g, outside its bucket (1, 2]", got)
-		}
-	})
-	t.Run("all-mass-one-bucket", func(t *testing.T) {
-		h := NewHistogram([]float64{1, 2, 4})
-		for i := 0; i < 100; i++ {
-			h.Observe(3)
-		}
-		for _, p := range []float64{0.01, 0.5, 0.999} {
-			got := h.Quantile(p)
-			if got < 2 || got > 4 {
-				t.Errorf("Quantile(%g) = %g, outside the (2, 4] bucket holding all mass", p, got)
-			}
-		}
-	})
-	t.Run("overflow-clamps-to-max", func(t *testing.T) {
-		h := NewHistogram([]float64{1})
-		h.Observe(100)
-		if got := h.Quantile(0.99); got != 100 {
-			t.Errorf("over-range Quantile = %g, want the observed max 100", got)
-		}
-	})
-}

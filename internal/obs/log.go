@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -47,23 +46,3 @@ func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 // NopLogger returns a logger that discards everything — the default
 // wherever no logger was configured, so call sites never nil-check.
 func NopLogger() *slog.Logger { return slog.New(slog.DiscardHandler) }
-
-// loggerKey carries a *slog.Logger through a context.Context.
-type loggerKey struct{}
-
-// ContextWithLogger returns a child context carrying l. rumord's HTTP
-// middleware attaches a request-scoped logger (with request_id) here, and
-// the job runner a job-scoped one (with job_id), so every log line caused
-// by a request or job is correlatable.
-func ContextWithLogger(ctx context.Context, l *slog.Logger) context.Context {
-	return context.WithValue(ctx, loggerKey{}, l)
-}
-
-// LoggerFromContext returns the logger carried by ctx, or NopLogger when
-// none was attached.
-func LoggerFromContext(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(loggerKey{}).(*slog.Logger); ok && l != nil {
-		return l
-	}
-	return NopLogger()
-}

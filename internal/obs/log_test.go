@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"log/slog"
 	"strings"
@@ -63,32 +62,5 @@ func TestNewLoggerFormats(t *testing.T) {
 	}
 	if _, err := NewLogger(&sb, "loud", "text"); err == nil {
 		t.Error("bad level should fail")
-	}
-}
-
-func TestContextLogger(t *testing.T) {
-	if LoggerFromContext(context.Background()) == nil {
-		t.Fatal("missing logger must fall back to nop, not nil")
-	}
-	var sb strings.Builder
-	lg, err := NewLogger(&sb, "debug", "text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := ContextWithLogger(context.Background(), lg.With("request_id", "r-1"))
-	LoggerFromContext(ctx).Info("correlated")
-	if !strings.Contains(sb.String(), "request_id=r-1") {
-		t.Errorf("context logger lost attrs: %q", sb.String())
-	}
-}
-
-func TestProgressEmit(t *testing.T) {
-	var got []Event
-	var p Progress = func(ev Event) { got = append(got, ev) }
-	p.Emit(Event{Stage: StageFBSM, Step: 3, Value: 0.5})
-	var nilP Progress
-	nilP.Emit(Event{Stage: StageODE}) // must not panic
-	if len(got) != 1 || got[0].Stage != StageFBSM || got[0].Step != 3 {
-		t.Errorf("events: %+v", got)
 	}
 }

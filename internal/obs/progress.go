@@ -70,11 +70,3 @@ type Event struct {
 // (ABM trials, sharded sweeps) report from multiple goroutines, and must
 // be fast — solvers call them inline.
 type Progress func(Event)
-
-// Emit calls p with ev when p is non-nil; solvers use it so emission sites
-// stay one-liners.
-func (p Progress) Emit(ev Event) {
-	if p != nil {
-		p(ev)
-	}
-}

@@ -301,46 +301,6 @@ func (h *Histogram) Sum() float64 { return h.sum.load() }
 // Max returns the largest observation (0 before any observation).
 func (h *Histogram) Max() float64 { return h.max.load() }
 
-// Overflow returns the number of observations above the highest explicit
-// bucket bound — the ones the fixed layout can only clamp into the +Inf
-// bucket. A nonzero overflow means the bucket layout no longer covers the
-// distribution and quantile reads above it are pinned to Max; the registry
-// exports it as a companion <name>_overflow_total counter so the condition
-// is visible on a scrape instead of silently degrading accuracy.
-func (h *Histogram) Overflow() int64 { return h.counts[len(h.upper)].Load() }
-
-// Quantile estimates the p-quantile (p in [0, 1]) by linear interpolation
-// inside the bucket holding the target rank, the same estimate
-// Prometheus's histogram_quantile computes. Samples in the +Inf overflow
-// bucket clamp to the observed maximum. Returns 0 before any observation.
-func (h *Histogram) Quantile(p float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
-	rank := p * float64(total)
-	var cum int64
-	lower := 0.0
-	for i, upper := range h.upper {
-		n := h.counts[i].Load()
-		if float64(cum)+float64(n) >= rank {
-			if n == 0 {
-				return upper
-			}
-			frac := (rank - float64(cum)) / float64(n)
-			return lower + frac*(upper-lower)
-		}
-		cum += n
-		lower = upper
-	}
-	return h.max.load()
-}
-
 // atomicFloat is a float64 with lock-free add and max, stored as bits.
 type atomicFloat struct {
 	bits atomic.Uint64

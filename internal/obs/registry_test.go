@@ -34,7 +34,7 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-func TestHistogramBucketsAndQuantiles(t *testing.T) {
+func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4})
 	for _, v := range []float64{0.5, 1, 1.5, 3, 8} {
 		h.Observe(v)
@@ -54,18 +54,6 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 		if got := h.counts[i].Load(); got != want {
 			t.Errorf("bucket %d count = %d, want %d", i, got, want)
 		}
-	}
-	// Median rank 2.5 falls in the first bucket ((0,1], 2 samples span
-	// ranks 0–2) — no: cumulative 2 < 2.5, so it interpolates in (1,2].
-	if q := h.Quantile(0.5); q < 1 || q > 2 {
-		t.Errorf("p50 = %g, want within (1, 2]", q)
-	}
-	// p99 rank 4.95 is in the overflow bucket -> clamps to the max.
-	if q := h.Quantile(0.99); q != 8 {
-		t.Errorf("p99 = %g, want 8 (observed max)", q)
-	}
-	if q := NewHistogram(nil).Quantile(0.5); q != 0 {
-		t.Errorf("empty histogram quantile = %g, want 0", q)
 	}
 }
 

@@ -150,6 +150,10 @@ func (snap Snapshot) WritePrometheus(w io.Writer, rename func(string) string, ex
 				writef("%s_bucket%s %d\n", name, labelString(labels, &le), cum)
 				writef("%s_sum%s %s\n", name, labelString(labels, nil), formatFloat(s.Histogram.Sum))
 				writef("%s_count%s %d\n", name, labelString(labels, nil), cum)
+				// Companion counter: observations above the last explicit
+				// bound. Silent clamping into +Inf hides a bucket layout
+				// that no longer covers the distribution; this makes it
+				// alertable.
 				writef("%s_overflow_total%s %d\n", name, labelString(labels, nil),
 					s.Histogram.Counts[len(s.Histogram.Upper)])
 			}

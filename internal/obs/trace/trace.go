@@ -183,10 +183,10 @@ type SpanData struct {
 	Attrs      map[string]string `json:"attrs,omitempty"`
 }
 
-// Span is one in-flight timed operation. Create with Tracer.Start or
-// Tracer.StartSpan; call End exactly once (extra Ends are no-ops). Methods
-// are safe for concurrent use; a nil *Span is inert, so call sites need no
-// "is tracing on" branches.
+// Span is one in-flight timed operation. Create with Tracer.StartSpan;
+// call End exactly once (extra Ends are no-ops). Methods are safe for
+// concurrent use; a nil *Span is inert, so call sites need no "is tracing
+// on" branches.
 type Span struct {
 	tracer *Tracer
 	name   string
@@ -292,13 +292,6 @@ func (t *Tracer) StartSpan(name string, parent SpanContext, attrs ...obs.Label) 
 		start:  time.Now(),
 		attrs:  attrs,
 	}
-}
-
-// Start begins a span whose parent (if any) is carried by ctx, and returns
-// the child context carrying the new span's identity.
-func (t *Tracer) Start(ctx context.Context, name string, attrs ...obs.Label) (context.Context, *Span) {
-	sp := t.StartSpan(name, SpanContextFromContext(ctx), attrs...)
-	return ContextWithSpanContext(ctx, sp.Context()), sp
 }
 
 // export appends a finished span to the ring, overwriting the oldest entry

@@ -90,9 +90,9 @@ func TestIDGeneration(t *testing.T) {
 
 func TestSpanParentChildAndExport(t *testing.T) {
 	tr := New(16)
-	ctx, root := tr.Start(context.Background(), "http.request")
-	ctx, child := tr.Start(ctx, "job.fbsm")
-	_, grand := tr.Start(ctx, "stage.fbsm/forward")
+	root := tr.StartSpan("http.request", SpanContext{})
+	child := tr.StartSpan("job.fbsm", root.Context())
+	grand := tr.StartSpan("stage.fbsm/forward", child.Context())
 
 	if child.Context().TraceID != root.Context().TraceID {
 		t.Error("child left the parent's trace")
@@ -164,7 +164,7 @@ func TestTracerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				_, sp := tr.Start(context.Background(), "concurrent")
+				sp := tr.StartSpan("concurrent", SpanContext{})
 				sp.SetAttr("j", "1")
 				sp.End()
 			}

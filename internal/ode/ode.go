@@ -2,17 +2,18 @@
 // ordinary differential equations, written from scratch on the standard
 // library (Go has no mature scientific stack).
 //
-// It provides the classic fixed-step Runge–Kutta family (Euler, Heun, RK4)
-// and an adaptive Dormand–Prince 5(4) pair with a PI step-size controller.
-// The package is the numeric substrate for the heterogeneous SIR rumor model
-// (internal/core) and the Pontryagin forward–backward sweep solver
-// (internal/control).
+// It provides the classic fourth-order Runge–Kutta method (RK4), which
+// every model in the repository integrates with, and an adaptive
+// Dormand–Prince 5(4) pair with a PI step-size controller that serves as
+// the accuracy oracle pinning RK4 (see TestSimulateMatchesAdaptiveOracle in
+// internal/core). The package is the numeric substrate for the
+// heterogeneous SIR rumor model (internal/core) and the Pontryagin
+// forward–backward sweep solver (internal/control).
 //
-// Concurrency: Stepper implementations carry per-call scratch buffers and
-// are NOT safe for concurrent use. Steppers are cheap to construct — when
-// fanning integrations across goroutines (see internal/par and
-// internal/experiments), create one Stepper per goroutine rather than
-// sharing one.
+// Concurrency: an RK4 carries per-call scratch buffers and is NOT safe for
+// concurrent use. It is cheap to construct — when fanning integrations
+// across goroutines (see internal/par and internal/experiments), create one
+// RK4 per goroutine rather than sharing one.
 package ode
 
 import (
@@ -213,121 +214,15 @@ func (o *Options) cancelled(t float64) error {
 	return nil
 }
 
-// Stepper advances an ODE state by one fixed step. Implementations keep
-// internal scratch buffers and are therefore not safe for concurrent use;
-// create one Stepper per goroutine.
-//
-// The provided steppers (Euler, Heun, RK4) size their scratch once — at
-// construction via NewEuler/NewHeun/NewRK4, or lazily on the first Step —
-// and the hot path performs no allocation afterwards: the only per-step
-// sizing cost is a length compare that re-allocates solely when the system
-// dimension changes. SolveFixed pre-sizes the stepper before entering its
-// loop, so a fixed-step solve does zero allocations per step.
-type Stepper interface {
-	// Step writes the state at t+h into dst given the state y at t.
-	// dst and y must not alias.
-	Step(f Func, t float64, y []float64, h float64, dst []float64)
-	// Order returns the classical convergence order of the method.
-	Order() int
-	// Name returns a short human-readable method name.
-	Name() string
-}
-
-// Statically verify the steppers satisfy the interface.
-var (
-	_ Stepper = (*Euler)(nil)
-	_ Stepper = (*Heun)(nil)
-	_ Stepper = (*RK4)(nil)
-)
-
-// Euler is the first-order explicit Euler method. Cheap and inaccurate;
-// provided mainly as a baseline for convergence tests.
-type Euler struct {
-	k []float64
-}
-
-// Resize sizes the scratch for dimension-n systems; it is a no-op when the
-// stepper is already sized for n.
-func (e *Euler) Resize(n int) {
-	if len(e.k) != n {
-		e.k = make([]float64, n)
-	}
-}
-
-// NewEuler returns an Euler stepper with scratch preallocated for
-// dimension-n systems.
-func NewEuler(n int) *Euler {
-	e := &Euler{}
-	e.Resize(n)
-	return e
-}
-
-// Step implements Stepper.
-func (e *Euler) Step(f Func, t float64, y []float64, h float64, dst []float64) {
-	if len(e.k) != len(y) { // cold path: unsized or re-dimensioned stepper
-		e.Resize(len(y))
-	}
-	f(t, y, e.k)
-	copy(dst, y)
-	floats.AddScaled(dst, h, e.k)
-}
-
-// Order implements Stepper.
-func (e *Euler) Order() int { return 1 }
-
-// Name implements Stepper.
-func (e *Euler) Name() string { return "euler" }
-
-// Heun is the second-order explicit trapezoidal (improved Euler) method.
-type Heun struct {
-	k1, k2, tmp []float64
-}
-
-// Resize sizes the scratch for dimension-n systems; it is a no-op when the
-// stepper is already sized for n. The stage buffers are carved from one
-// contiguous arena so the stages stream through adjacent cache lines.
-func (hn *Heun) Resize(n int) {
-	if len(hn.k1) == n {
-		return
-	}
-	buf := make([]float64, 3*n)
-	hn.k1 = buf[0*n : 1*n : 1*n]
-	hn.k2 = buf[1*n : 2*n : 2*n]
-	hn.tmp = buf[2*n : 3*n : 3*n]
-}
-
-// NewHeun returns a Heun stepper with scratch preallocated for dimension-n
-// systems.
-func NewHeun(n int) *Heun {
-	hn := &Heun{}
-	hn.Resize(n)
-	return hn
-}
-
-// Step implements Stepper.
-func (hn *Heun) Step(f Func, t float64, y []float64, h float64, dst []float64) {
-	if len(hn.k1) != len(y) { // cold path: unsized or re-dimensioned stepper
-		hn.Resize(len(y))
-	}
-
-	f(t, y, hn.k1)
-	copy(hn.tmp, y)
-	floats.AddScaled(hn.tmp, h, hn.k1)
-	f(t+h, hn.tmp, hn.k2)
-
-	copy(dst, y)
-	floats.AddScaled(dst, h/2, hn.k1)
-	floats.AddScaled(dst, h/2, hn.k2)
-}
-
-// Order implements Stepper.
-func (hn *Heun) Order() int { return 2 }
-
-// Name implements Stepper.
-func (hn *Heun) Name() string { return "heun" }
-
 // RK4 is the classic fourth-order Runge–Kutta method; the workhorse for the
 // SIR simulations and the forward–backward sweep.
+//
+// An RK4 sizes its scratch once — at construction via NewRK4, or lazily on
+// the first Step — and the hot path performs no allocation afterwards: the
+// only per-step sizing cost is a length compare that re-allocates solely
+// when the system dimension changes. SolveFixed pre-sizes the stepper
+// before entering its loop, so a fixed-step solve does zero allocations per
+// step.
 type RK4 struct {
 	k1, k2, k3, k4, tmp []float64
 }
@@ -356,7 +251,8 @@ func NewRK4(n int) *RK4 {
 	return r
 }
 
-// Step implements Stepper.
+// Step writes the state at t+h into dst given the state y at t. dst and y
+// must not alias.
 func (r *RK4) Step(f Func, t float64, y []float64, h float64, dst []float64) {
 	if len(r.k1) != len(y) { // cold path: unsized or re-dimensioned stepper
 		r.Resize(len(y))
@@ -383,14 +279,8 @@ func (r *RK4) Step(f Func, t float64, y []float64, h float64, dst []float64) {
 	floats.AddScaled(dst, h/6, r.k4)
 }
 
-// Order implements Stepper.
-func (r *RK4) Order() int { return 4 }
-
-// Name implements Stepper.
-func (r *RK4) Name() string { return "rk4" }
-
 // SolveFixed integrates y' = f(t, y) from (t0, y0) to tf with constant step
-// h using the given stepper, returning the sampled trajectory. The final
+// h using the given RK4 stepper (nil allocates one), returning the sampled trajectory. The final
 // step is shortened so the trajectory ends exactly at tf. y0 is not
 // modified.
 //
@@ -400,17 +290,17 @@ func (r *RK4) Name() string { return "rk4" }
 // the step count and Record cadence. The total allocation count of a solve
 // is therefore a small constant, independent of the number of steps (see
 // TestSolveFixedStepLoopZeroAlloc).
-func SolveFixed(f Func, y0 []float64, t0, tf, h float64, st Stepper, opts *Options) (*Solution, error) {
+func SolveFixed(f Func, y0 []float64, t0, tf, h float64, st *RK4, opts *Options) (*Solution, error) {
 	if err := checkSpan(t0, tf, h); err != nil {
 		return nil, err
 	}
 	n := len(y0)
 	if st == nil {
 		st = NewRK4(n)
-	} else if rs, ok := st.(interface{ Resize(int) }); ok {
-		// Size the scratch now so the loop below never hits a stepper's
+	} else {
+		// Size the scratch now so the loop below never hits the stepper's
 		// lazy-allocation path.
-		rs.Resize(n)
+		st.Resize(n)
 	}
 	steps := int(math.Ceil((tf - t0) / h))
 	if ms := opts.maxSteps(); steps > ms {
@@ -676,4 +566,3 @@ func checkSpan(t0, tf, h float64) error {
 	}
 	return nil
 }
-

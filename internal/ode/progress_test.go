@@ -51,7 +51,7 @@ func TestSolveFixedProgressFinalStepOffCadence(t *testing.T) {
 		ProgressEvery: 7,
 		Progress:      func(step, total int, _ float64, _ []float64) { last = step },
 	}
-	_, err := SolveFixed(decayRHS, []float64{1}, 0, 1, 0.01, &Euler{}, opts)
+	_, err := SolveFixed(decayRHS, []float64{1}, 0, 1, 0.01, &RK4{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

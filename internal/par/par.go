@@ -27,7 +27,7 @@ import (
 var active atomic.Int64
 
 // Active reports the number of fan-out workers currently executing shards
-// across all concurrent ForEachShard/Map/Do calls in the process.
+// across all concurrent ForEachShard/Map calls in the process.
 func Active() int { return int(active.Load()) }
 
 // Default resolves a worker-count setting: values above zero are returned
@@ -136,12 +136,4 @@ func Map[T any](workers, jobs int, fn func(i int) (T, error)) ([]T, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Do runs the given heterogeneous tasks concurrently on up to workers
-// goroutines and returns the first error by task index.
-func Do(workers int, tasks ...func() error) error {
-	return ForEachShard(workers, len(tasks), 1, func(_, i, _ int) error {
-		return tasks[i]()
-	})
 }

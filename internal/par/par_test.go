@@ -115,21 +115,6 @@ func TestMapError(t *testing.T) {
 	}
 }
 
-func TestDo(t *testing.T) {
-	var a, b atomic.Bool
-	err := Do(2,
-		func() error { a.Store(true); return nil },
-		func() error { b.Store(true); return nil },
-	)
-	if err != nil || !a.Load() || !b.Load() {
-		t.Errorf("Do: err=%v a=%v b=%v", err, a.Load(), b.Load())
-	}
-	sentinel := errors.New("task failed")
-	if err := Do(2, func() error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Errorf("Do error: %v", err)
-	}
-}
-
 func TestActive(t *testing.T) {
 	if got := Active(); got != 0 {
 		t.Fatalf("Active() = %d at rest, want 0", got)

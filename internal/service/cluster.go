@@ -314,14 +314,6 @@ func (s *Service) DegradedReasons() []string {
 	return reasons
 }
 
-// Degraded reports the first degradation reason, or "" when healthy.
-func (s *Service) Degraded() string {
-	if reasons := s.DegradedReasons(); len(reasons) > 0 {
-		return reasons[0]
-	}
-	return ""
-}
-
 // DeregisterWorker removes a worker from the registry — the drain goodbye.
 // Its leases, if any remain, expire normally.
 func (s *Service) DeregisterWorker(id string) {

@@ -134,8 +134,7 @@ func (s *Service) MetricsHandler() http.Handler {
 // request logging and HTTP metrics. The request id is the client's
 // X-Request-Id when given (so a caller can correlate across services) or
 // generated; either way it is echoed in the response and attached to the
-// context logger that handlers and the job runner retrieve via
-// obs.LoggerFromContext. A W3C traceparent header, when present, parents
+// request's log line. A W3C traceparent header, when present, parents
 // the per-request span (and through it the job span a submission opens);
 // either way the request's own traceparent is echoed in the response so
 // un-instrumented clients can still grab the trace id.
@@ -156,9 +155,7 @@ func (s *Service) telemetry(next http.Handler) http.Handler {
 		w.Header().Set("traceparent", sc.Traceparent())
 
 		lg := s.cfg.Logger.With("request_id", rid, "trace_id", sc.TraceID.String())
-		ctx := obs.ContextWithLogger(r.Context(), lg)
-		ctx = trace.ContextWithSpanContext(ctx, sc)
-		r = r.WithContext(ctx)
+		r = r.WithContext(trace.ContextWithSpanContext(r.Context(), sc))
 
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(sw, r)

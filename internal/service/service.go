@@ -802,9 +802,7 @@ func (s *Service) runJob(r *jobRecord) {
 		return
 	}
 	r.lg.Info("job started", "queue_wait_ms", durMS(start.Sub(r.job.SubmittedAt)))
-	// The job-scoped logger rides in ctx so solver-adjacent code can
-	// correlate its records with this job and its trace.
-	ctx = obs.ContextWithLogger(withInnerWorkers(ctx, s.cfg.InnerWorkers), r.lg)
+	ctx = withInnerWorkers(ctx, s.cfg.InnerWorkers)
 
 	payload, err := execute(ctx, r.sc, r.req, r.sink)
 	o := outcome{execDone: time.Now(), logMsg: "job finished"} // the rest is the serialize segment

@@ -105,10 +105,7 @@ func TestSurfaceGoldenBound(t *testing.T) {
 			if !okV || !okB {
 				t.Fatalf("probe (%g,%g): field %q missing from envelope", p.eps1, p.eps2, f)
 			}
-			diff := math.Abs(got - exact)
-			// The bound is a curvature estimate, not a hard guarantee; a
-			// tiny epsilon absorbs float noise on near-linear fields.
-			if diff > bound+1e-12 {
+			if diff := math.Abs(got - exact); diff > bound {
 				t.Errorf("probe (%g,%g) field %s: |%g - %g| = %g exceeds bound %g",
 					p.eps1, p.eps2, f, got, exact, diff, bound)
 			}
@@ -125,6 +122,52 @@ func TestSurfaceGoldenBound(t *testing.T) {
 	}
 	if st.Surface.Bytes <= 0 {
 		t.Error("stats: ready surface reports zero bytes")
+	}
+}
+
+// TestSurfaceBoundRoundingFloor probes a surface whose fields are linear
+// or nearly so along the swept axis: the r0 field tracks the r0 axis
+// exactly, so its second differences vanish and the curvature estimate
+// alone reports a bound of 0 (or a few 1e-18) while interpolation still
+// rounds by a few ulps. 200 off-grid answers must sit within the reported
+// bound with no test-side slack, which needs the rounding floor.
+func TestSurfaceBoundRoundingFloor(t *testing.T) {
+	s := newTestService(t, Config{Workers: 2, QueueDepth: 256})
+	tinyScenario(t, s)
+	fields := []string{"r0", "required_eps1", "required_eps2"}
+	buildAndWait(t, s, SweepSpec{
+		Type: JobThreshold, Scenario: "tiny",
+		Axes:   []SweepAxis{{Name: "r0", Min: 0.5, Max: 1.5, Points: 5}},
+		Fields: fields,
+	})
+	const probes = 200
+	for i := 0; i < probes; i++ {
+		r0 := 0.5 + (float64(i)+0.5)/probes // strictly between grid planes
+		res, err := s.Query(Query{Type: JobThreshold, Scenario: "tiny", Params: Params{R0: r0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Source != "surface" {
+			t.Fatalf("probe r0=%g: source = %q (%s), want surface", r0, res.Source, res.Reason)
+		}
+		job, err := s.Submit(Request{Type: JobThreshold, Scenario: "tiny", Params: Params{R0: r0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job = waitTerminal(t, s, job.ID)
+		if job.Status != StatusSucceeded {
+			t.Fatalf("exact job r0=%g: %s: %s", r0, job.Status, job.Error)
+		}
+		for _, f := range fields {
+			exact, err := extractField(job.Result, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff, bound := math.Abs(res.Values[f]-exact), res.ErrorBound[f]; diff > bound {
+				t.Errorf("probe r0=%g field %s: |%g - %g| = %g exceeds bound %g",
+					r0, f, res.Values[f], exact, diff, bound)
+			}
+		}
 	}
 }
 

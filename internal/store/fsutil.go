@@ -7,20 +7,15 @@ import (
 	"sync"
 )
 
-// WriteFileAtomic writes data to path via a temp file in the same
+// writeFileAtomic writes data to path via a temp file in the same
 // directory followed by a rename, so readers never observe a partial file
-// and a crash leaves either the old content or the new, never a mix. The
-// temp file is fsynced before the rename; the directory is fsynced after,
-// making the rename itself durable.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	return writeFileAtomic(path, data, perm, true)
-}
-
-// writeFileAtomic is WriteFileAtomic with durability optional: durable=false
-// keeps the temp-file+rename atomicity (readers still never see a torn
-// file) but skips both fsyncs, leaving persistence to the page cache. The
-// blob store uses it under the batched and none sync policies, where the
-// matching WAL record is only as durable as the next flush anyway.
+// and a crash leaves either the old content or the new, never a mix. With
+// durable set, the temp file is fsynced before the rename and the
+// directory after, making the rename itself durable; durable=false keeps
+// the atomicity but skips both fsyncs, leaving persistence to the page
+// cache. The blob store uses the latter under the batched and none sync
+// policies, where the matching WAL record is only as durable as the next
+// flush anyway.
 func writeFileAtomic(path string, data []byte, perm os.FileMode, durable bool) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")

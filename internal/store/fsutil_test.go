@@ -12,10 +12,10 @@ import (
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.json")
-	if err := WriteFileAtomic(path, []byte("v1"), 0o644); err != nil {
+	if err := writeFileAtomic(path, []byte("v1"), 0o644, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(path, []byte("v2"), 0o644); err != nil {
+	if err := writeFileAtomic(path, []byte("v2"), 0o644, true); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)

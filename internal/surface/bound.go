@@ -23,10 +23,34 @@ import "math"
 // all cells), so one number certifies every in-hull answer; the golden
 // test in the service layer checks it against direct solver runs on
 // off-grid points.
+//
+// The curvature estimate says nothing about rounding: on a field that is
+// linear along the grid (r0 swept along the r0 axis) every second
+// difference is 0, yet the interpolated answer and the exact solver's
+// answer each round by an ulp or two. The bound therefore never drops
+// below roundingULPs·ε·max|f|.
+
+// roundingULPs is the rounding floor in units of ε·max|f|: interpolation
+// rounds by about one ulp per corner weight and the exact solve by a few
+// more, so eight leaves headroom over the 1.3 ulps observed on linear
+// fields.
+const roundingULPs = 8
 
 // errorBound computes the global multilinear interpolation error bound
 // for one row-major field tensor.
 func errorBound(t []float64, axes []Axis) float64 {
+	maxAbs := 0.0
+	for _, v := range t {
+		maxAbs = math.Max(maxAbs, math.Abs(v))
+	}
+	return math.Max(curvatureBound(t, axes), roundingULPs*epsilon*maxAbs)
+}
+
+// epsilon is the float64 machine epsilon, 2⁻⁵².
+const epsilon = 0x1p-52
+
+// curvatureBound is the second-difference estimate described above.
+func curvatureBound(t []float64, axes []Axis) float64 {
 	// Strides of each axis in the row-major layout (last axis fastest).
 	n := len(axes)
 	strides := make([]int, n)

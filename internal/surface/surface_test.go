@@ -61,7 +61,8 @@ func TestEvalExactAtNodes(t *testing.T) {
 
 // TestMultilinearExact: a function that is itself multilinear must
 // interpolate with (near-)zero error anywhere in the hull, and the
-// second-difference bound must be ~0 for it.
+// second-difference bound must be ~0 for it — yet never below the
+// rounding the interpolation actually commits.
 func TestMultilinearExact(t *testing.T) {
 	spec := Spec{
 		JobType: "ode",
@@ -83,6 +84,9 @@ func TestMultilinearExact(t *testing.T) {
 		}
 		if bounds[0] > 1e-12 {
 			t.Errorf("%v: bound %g for a curvature-free surface", c, bounds[0])
+		}
+		if err := math.Abs(vals[0] - f(c)); err > bounds[0] {
+			t.Errorf("%v: rounding error %g exceeds bound %g", c, err, bounds[0])
 		}
 	}
 }

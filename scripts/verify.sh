@@ -24,7 +24,9 @@
 # must stay data-race free; -race
 # roughly 10x-es the runtime, so it is a separate gate. Tier 2 also runs
 # every benchmark for exactly one iteration — benchmarks bit-rot silently
-# otherwise (the bench.sh suites only exercise their own subset). Usage:
+# otherwise (the bench.sh suites only exercise their own subset) — and
+# checks with scripts/unreached.sh that no production function is reached
+# only by its own tests. Usage:
 #
 #   scripts/verify.sh         # tier 1 only
 #   scripts/verify.sh -race   # tier 1 + tier 2
@@ -57,6 +59,11 @@ if [ "${1:-}" = "-race" ]; then
 	# query-during-construction races run under the package sweep above.
 	echo "== tier 2: surface smoke"
 	go test -race -count 1 -run 'TestSurfaceSmoke' ./internal/loadgen
+	# Production code is what runs: every func under internal/ must be
+	# linked by some binary (cmd/, examples/, rumorbench) or carry a reason
+	# in scripts/unreached.allow.
+	echo "== tier 2: unreached production code"
+	bash scripts/unreached.sh
 fi
 
 echo "verify: ok"
