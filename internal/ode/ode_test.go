@@ -32,18 +32,20 @@ func harmonic(_ float64, y, dydt []float64) {
 }
 
 func TestSolveFixedExpDecay(t *testing.T) {
-	sol, err := SolveFixed(expDecay, []float64{1}, 0, 2, 1e-3, &RK4{}, nil)
-	if err != nil {
-		t.Fatalf("SolveFixed: %v", err)
-	}
-	tf, y := sol.Last()
-	if tf != 2 {
-		t.Errorf("final time = %v, want 2", tf)
-	}
-	want := math.Exp(-2)
-	if d := math.Abs(y[0] - want); d > 1e-8 {
-		t.Errorf("y(2) = %v, want %v (|err| %g > 1e-8)", y[0], want, d)
-	}
+	t.Run("rk4", func(t *testing.T) {
+		sol, err := SolveFixed(expDecay, []float64{1}, 0, 2, 1e-3, &RK4{}, nil)
+		if err != nil {
+			t.Fatalf("SolveFixed: %v", err)
+		}
+		tf, y := sol.Last()
+		if tf != 2 {
+			t.Errorf("final time = %v, want 2", tf)
+		}
+		want := math.Exp(-2)
+		if d := math.Abs(y[0] - want); d > 1e-8 {
+			t.Errorf("y(2) = %v, want %v (|err| %g > 1e-8)", y[0], want, d)
+		}
+	})
 }
 
 func TestSolveFixedLogistic(t *testing.T) {
@@ -79,18 +81,20 @@ func TestSolveFixedHarmonicEnergy(t *testing.T) {
 // TestConvergenceOrder verifies the empirical fourth-order convergence of
 // RK4 on the logistic equation by halving the step size.
 func TestConvergenceOrder(t *testing.T) {
-	errAt := func(h float64) float64 {
-		sol, err := SolveFixed(logistic, []float64{0.2}, 0, 2, h, &RK4{}, nil)
-		if err != nil {
-			t.Fatalf("SolveFixed(h=%v): %v", h, err)
+	t.Run("rk4", func(t *testing.T) {
+		errAt := func(h float64) float64 {
+			sol, err := SolveFixed(logistic, []float64{0.2}, 0, 2, h, &RK4{}, nil)
+			if err != nil {
+				t.Fatalf("SolveFixed(h=%v): %v", h, err)
+			}
+			_, y := sol.Last()
+			return math.Abs(y[0] - logisticExact(0.2, 2))
 		}
-		_, y := sol.Last()
-		return math.Abs(y[0] - logisticExact(0.2, 2))
-	}
-	e1, e2 := errAt(0.1), errAt(0.05)
-	if order := math.Log2(e1 / e2); math.Abs(order-4) > 0.35 {
-		t.Errorf("empirical order = %.2f, want ~4 (e1=%g e2=%g)", order, e1, e2)
-	}
+		e1, e2 := errAt(0.1), errAt(0.05)
+		if order := math.Log2(e1 / e2); math.Abs(order-4) > 0.35 {
+			t.Errorf("empirical order = %.2f, want ~4 (e1=%g e2=%g)", order, e1, e2)
+		}
+	})
 }
 
 func TestSolveAdaptiveExpDecay(t *testing.T) {
